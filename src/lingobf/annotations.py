@@ -23,9 +23,10 @@ and is dropped only on render.  Normalization is an ingest concern
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:
+    from .obfuscate import Unit
     from .rulesets import PermutationMap, Ruleset
 
 MARKERS = ("$$$", "&&&", "@@@")
@@ -42,6 +43,8 @@ class MarkerError(ValueError):
 
 
 def _check_no_bare_marker(text: str) -> None:
+    if not any(marker in text for marker in MARKERS):
+        return
     i = 0
     while i < len(text):
         if text[i] == _ESCAPE and text[i + 1 : i + 4] in MARKERS:
@@ -92,6 +95,8 @@ class AnnotatedDocument:
 
 def unescape(text: str) -> str:
     """Drop the backslash of every escaped marker triple."""
+    if _ESCAPE not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -217,6 +222,27 @@ class CoverageGap:
         return f"span {self.span_index} offset {self.offset}: {self.text!r}"
 
 
+def span_gaps(span_index: int, units: "Sequence[Unit]") -> list[CoverageGap]:
+    """Maximal uncovered runs in the segmentation of one Problemese span."""
+    from .obfuscate import is_passthrough_char
+
+    gaps: list[CoverageGap] = []
+    pos = 0
+    run: list[str] = []
+    for unit in units:
+        if unit.kind == "passthrough" and not is_passthrough_char(unit.text):
+            if not run:
+                run_start = pos
+            run.append(unit.text)
+        elif run:
+            gaps.append(CoverageGap(span_index, run_start, "".join(run)))
+            run = []
+        pos += len(unit.text)
+    if run:
+        gaps.append(CoverageGap(span_index, run_start, "".join(run)))
+    return gaps
+
+
 def coverage_report(
     doc: AnnotatedDocument, ruleset: "Ruleset", *, fold_case: bool = True
 ) -> list[CoverageGap]:
@@ -226,21 +252,10 @@ def coverage_report(
     codepoint is consumed by an inventory grapheme, a fixed string, or a
     passthrough character (whitespace, ASCII punctuation, digits).
     """
-    from .obfuscate import segment, is_passthrough_char
+    from .obfuscate import segment
 
-    gaps: list[CoverageGap] = []
-    for idx, span in enumerate(doc.problemese_spans):
-        text = unescape(span.text)
-        pos = 0
-        run_start: int | None = None
-        for unit in segment(text, ruleset, fold_case=fold_case):
-            covered = unit.kind != "passthrough" or is_passthrough_char(unit.text)
-            if not covered and run_start is None:
-                run_start = pos
-            if covered and run_start is not None:
-                gaps.append(CoverageGap(idx, run_start, text[run_start:pos]))
-                run_start = None
-            pos += len(unit.text)
-        if run_start is not None:
-            gaps.append(CoverageGap(idx, run_start, text[run_start:pos]))
-    return gaps
+    return [
+        gap
+        for idx, span in enumerate(doc.problemese_spans)
+        for gap in span_gaps(idx, segment(unescape(span.text), ruleset, fold_case=fold_case))
+    ]

@@ -28,17 +28,17 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import annotations
-from .obfuscate import obfuscate_variant
+from .obfuscate import CompiledTexts
 from .rng import derive_seed
 from .rulesets import (
     PermutationMap,
     Ruleset,
+    _norm,
     load_ruleset,
     sample_distinct,
     validate_ruleset,
@@ -52,10 +52,6 @@ PROBLEM_FILE = "problem.txt"
 ANSWERS_FILE = "answers.json"
 RULESET_FILE = "ruleset.json"
 META_FILE = "meta.json"
-
-
-def _norm(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
 
 
 @dataclass(frozen=True)
@@ -384,10 +380,9 @@ def build_dataset(
                     raw_answers[f"alt{a_idx}.q{j}.{sub.key}"] = alt
                 raw_alternates[f"q{j}.{sub.key}"] = sub.alternates
 
+        compiled = CompiledTexts(documents, raw_answers, problem.ruleset, fold_case=fold_case)
         for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
-            rendered_docs, rendered_answers = obfuscate_variant(
-                documents, raw_answers, pmap, problem.ruleset, fold_case=fold_case
-            )
+            rendered_docs, rendered_answers = compiled.render(pmap)
             for j, q in enumerate(problem.questions):
                 keys = [sub.key for sub in q.subquestions]
                 records.append(

@@ -8,8 +8,16 @@ substring of another ("h" inside "sh"): greedy longest-match resolves
 this the way the data was designed to be read.  Positions where nothing
 matches consume one character as passthrough; whitespace, ASCII
 punctuation and digits are legitimate passthrough, anything else is a
-coverage violation surfaced by annotations.coverage_report before any
-dataset is generated.
+coverage violation.  ``corpus.load_corpus`` reports violations (folding
+case) before any dataset is generated.
+
+Generation compiles each problem once: :class:`CompiledTexts` segments
+every Problemese span of the problem's documents and answers a single
+time, takes the coverage gaps from that same segmentation (under the
+build's own ``fold_case``) and refuses the problem on any gap.  Every
+variant is then rendered from the compiled form with dict lookups and
+``join``, so coverage is checked once per problem per build, not once
+per variant.
 
 Matching is case-folded by default and the replacement re-applies the
 original unit's casing pattern (initial capital -> capitalize the
@@ -97,22 +105,30 @@ def _recase(replacement: str, original: str) -> str:
     return replacement
 
 
-def apply(
-    pmap: PermutationMap, text: str, ruleset: Ruleset, *, fold_case: bool = True
-) -> str:
-    """Replace every matched grapheme by its image; fixed and passthrough stay."""
+def _image(pairs: Mapping[str, str], unit: Unit, fold_case: bool) -> str:
+    """The text a grapheme unit renders to under a map: its image, recased."""
+    image = pairs[unit.matched]
+    return _recase(image, unit.text) if fold_case else image
+
+
+def _check_map(pmap: PermutationMap, ruleset: Ruleset) -> None:
     if pmap.ruleset_id != ruleset.ident:
         raise MapMismatchError(
             f"map was generated for ruleset {pmap.ruleset_id}, not {ruleset.ident}"
         )
-    out = []
-    for unit in segment(text, ruleset, fold_case=fold_case):
-        if unit.kind == "grapheme":
-            image = pmap.pairs[unit.matched]
-            out.append(_recase(image, unit.text) if fold_case else image)
-        else:
-            out.append(unit.text)
-    return "".join(out)
+
+
+def apply(
+    pmap: PermutationMap, text: str, ruleset: Ruleset, *, fold_case: bool = True
+) -> str:
+    """Replace every matched grapheme by its image; fixed and passthrough stay."""
+    _check_map(pmap, ruleset)
+    return "".join(
+        [
+            _image(pmap.pairs, unit, fold_case) if unit.kind == "grapheme" else unit.text
+            for unit in segment(text, ruleset, fold_case=fold_case)
+        ]
+    )
 
 
 class CoverageError(ValueError):
@@ -126,6 +142,105 @@ class CoverageError(ValueError):
         super().__init__(f"uncovered Problemese text: {detail}")
 
 
+class CompiledTexts:
+    """Named documents and answers, segmented once, renderable under any map.
+
+    Every text becomes a tuple of slot indices.  The first slots stand for
+    the distinct grapheme units of all the texts; the rest hold literal
+    text: unescaped plain text and name tags, the single space of removed
+    context, and the fixed and passthrough units of Problemese spans, with
+    neighbours merged.  A render computes each grapheme unit's image once
+    and joins the slots of each text.
+
+    Answers are annotated strings themselves (a free-response key is
+    usually one ``@@@...@@@`` span; numeric or yes/no keys have none and
+    pass through unchanged).  Construction raises :class:`CoverageError`
+    on any coverage gap, so a variant is either fully obfuscated or not
+    produced.
+    """
+
+    def __init__(
+        self,
+        documents: Mapping[str, annotations.AnnotatedDocument],
+        answers: Mapping[str, str],
+        ruleset: Ruleset,
+        *,
+        fold_case: bool = True,
+    ):
+        self.ruleset = ruleset
+        self.fold_case = fold_case
+        self._units: dict[Unit, int] = {}
+        gaps: dict[str, list[annotations.CoverageGap]] = {}
+        docs = {}
+        for name, doc in documents.items():
+            docs[name], found = self._compile(doc)
+            if found:
+                gaps[name] = found
+        answer_docs = {}
+        for key, raw in answers.items():
+            answer_docs[key], found = self._compile(annotations.parse(raw))
+            if found:
+                gaps[f"answer:{key}"] = found
+        if gaps:
+            raise CoverageError(gaps)
+
+        literals: dict[str, int] = {}
+
+        def slots(pieces: list[int | str]) -> tuple[int, ...]:
+            return tuple(
+                piece
+                if isinstance(piece, int)
+                else literals.setdefault(piece, len(self._units) + len(literals))
+                for piece in pieces
+            )
+
+        self._docs = {name: slots(pieces) for name, pieces in docs.items()}
+        self._answers = {key: slots(pieces) for key, pieces in answer_docs.items()}
+        self._literals = list(literals)
+
+    def _compile(
+        self, doc: annotations.AnnotatedDocument
+    ) -> tuple[list[int | str], list[annotations.CoverageGap]]:
+        """Grapheme-unit slots and literal strings of one document, and its gaps."""
+        pieces: list[int | str] = []
+        literal: list[str] = []
+        gaps: list[annotations.CoverageGap] = []
+        span_index = 0
+        for seg in doc.segments:
+            if isinstance(seg, annotations.RemovedContext):
+                literal.append(" ")
+                continue
+            text = annotations.unescape(seg.text)
+            if not isinstance(seg, annotations.ProblemeseSpan):
+                literal.append(text)
+                continue
+            units = segment(text, self.ruleset, fold_case=self.fold_case)
+            gaps.extend(annotations.span_gaps(span_index, units))
+            span_index += 1
+            for unit in units:
+                if unit.kind != "grapheme":
+                    literal.append(unit.text)
+                    continue
+                if literal:
+                    pieces.append("".join(literal))
+                    literal.clear()
+                pieces.append(self._units.setdefault(unit, len(self._units)))
+        if literal:
+            pieces.append("".join(literal))
+        return pieces, gaps
+
+    def render(self, pmap: PermutationMap) -> tuple[dict[str, str], dict[str, str]]:
+        """(documents, answers) rendered with ``pmap``, keyed as at construction."""
+        _check_map(pmap, self.ruleset)
+        table = [_image(pmap.pairs, unit, self.fold_case) for unit in self._units]
+        table += self._literals
+        lookup = table.__getitem__
+        return (
+            {name: "".join(map(lookup, slots)) for name, slots in self._docs.items()},
+            {key: "".join(map(lookup, slots)) for key, slots in self._answers.items()},
+        )
+
+
 def obfuscate_variant(
     documents: Mapping[str, annotations.AnnotatedDocument],
     answers: Mapping[str, str],
@@ -136,30 +251,6 @@ def obfuscate_variant(
 ) -> tuple[dict[str, str], dict[str, str]]:
     """Render all documents and answer strings with the same map.
 
-    Answers are annotated strings themselves (a free-response key is
-    usually one ``@@@...@@@`` span; numeric or yes/no keys have none and
-    pass through unchanged).  Refuses to proceed on any coverage gap, so
-    a variant is either fully obfuscated or not produced.
+    Compiles the texts and renders them once; see :class:`CompiledTexts`.
     """
-    parsed_answers = {key: annotations.parse(raw) for key, raw in answers.items()}
-    gaps: dict[str, list[annotations.CoverageGap]] = {}
-    for name, doc in documents.items():
-        found = annotations.coverage_report(doc, ruleset, fold_case=fold_case)
-        if found:
-            gaps[name] = found
-    for key, doc in parsed_answers.items():
-        found = annotations.coverage_report(doc, ruleset, fold_case=fold_case)
-        if found:
-            gaps[f"answer:{key}"] = found
-    if gaps:
-        raise CoverageError(gaps)
-
-    rendered_docs = {
-        name: annotations.render(doc, pmap, ruleset, fold_case=fold_case)
-        for name, doc in documents.items()
-    }
-    rendered_answers = {
-        key: annotations.render(doc, pmap, ruleset, fold_case=fold_case)
-        for key, doc in parsed_answers.items()
-    }
-    return rendered_docs, rendered_answers
+    return CompiledTexts(documents, answers, ruleset, fold_case=fold_case).render(pmap)

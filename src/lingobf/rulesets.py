@@ -30,6 +30,7 @@ import json
 import math
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -95,9 +96,13 @@ class Ruleset:
                     out.extend(cell)
         return tuple(out)
 
-    @property
+    @cached_property
     def ident(self) -> str:
-        """Content digest identifying this ruleset in PermutationMaps."""
+        """Content digest identifying this ruleset in PermutationMaps.
+
+        Computed once per instance; the dataclass is frozen, so the content
+        it digests cannot change.
+        """
         payload = json.dumps(ruleset_to_dict(self), ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -291,17 +296,7 @@ def count_permutations(ruleset: Ruleset) -> int:
     (#columns)! * prod over source cells |cell|!.
     """
     _require_valid(ruleset)
-    total = 1
-    for s in ruleset.sets:
-        total *= math.factorial(len(s))
-    for t in ruleset.tables:
-        total *= math.factorial(len(t.columns))
-    for ft in ruleset.free_tables:
-        total *= math.factorial(len(ft.columns))
-        for col in ft.columns:
-            for cell in col:
-                total *= math.factorial(len(cell))
-    return total
+    return _count(ruleset, cycles=False)
 
 
 def count_cycle_permutations(ruleset: Ruleset) -> int:
@@ -311,13 +306,19 @@ def count_cycle_permutations(ruleset: Ruleset) -> int:
     bijections of free-tables are unconstrained so still contribute |cell|!.
     """
     _require_valid(ruleset)
+    return _count(ruleset, cycles=True)
+
+
+def _count(ruleset: Ruleset, *, cycles: bool) -> int:
+    """Product of the collection factors of a valid ruleset: (n-1)! per cycle, else n!."""
+    shift = 1 if cycles else 0
     total = 1
     for s in ruleset.sets:
-        total *= math.factorial(len(s) - 1)
+        total *= math.factorial(len(s) - shift)
     for t in ruleset.tables:
-        total *= math.factorial(len(t.columns) - 1)
+        total *= math.factorial(len(t.columns) - shift)
     for ft in ruleset.free_tables:
-        total *= math.factorial(len(ft.columns) - 1)
+        total *= math.factorial(len(ft.columns) - shift)
         for col in ft.columns:
             for cell in col:
                 total *= math.factorial(len(cell))
@@ -340,6 +341,11 @@ def sample_permutation(ruleset: Ruleset, seed: int) -> PermutationMap:
     outside the fixed set.
     """
     _require_valid(ruleset)
+    return _sample(ruleset, seed)
+
+
+def _sample(ruleset: Ruleset, seed: int) -> PermutationMap:
+    """sample_permutation of a ruleset already known to be valid."""
     pairs: dict[str, str] = {}
 
     for idx, s in enumerate(ruleset.sets):
@@ -375,19 +381,19 @@ def _column_cycle(rng: SplitMix64, columns: Sequence) -> Iterator[tuple]:
 def sample_distinct(ruleset: Ruleset, n: int, seed: int) -> list[PermutationMap]:
     """Up to ``n`` pairwise-distinct sampled maps, deterministic in inputs.
 
-    Draws sample_permutation under derived sub-seeds and drops duplicates
-    by content.  Returns min(n, support size) maps; a short list signals
+    Validates the ruleset once, draws what sample_permutation would under
+    derived sub-seeds, and drops duplicates by content.  Returns min(n, support size) maps; a short list signals
     that the ruleset admits fewer distinct permutations than requested.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     _require_valid(ruleset)
-    target = min(n, count_cycle_permutations(ruleset))
+    target = min(n, _count(ruleset, cycles=True))
     out: list[PermutationMap] = []
     seen: set[tuple[tuple[str, str], ...]] = set()
     attempt = 0
     while len(out) < target:
-        pm = sample_permutation(ruleset, derive_seed(seed, "variant", attempt))
+        pm = _sample(ruleset, derive_seed(seed, "variant", attempt))
         attempt += 1
         if pm.key() in seen:
             continue

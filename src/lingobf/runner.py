@@ -275,6 +275,8 @@ class ResponseRecord:
     @classmethod
     def from_json(cls, line: str) -> "ResponseRecord":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
         return cls(
             prompt_id=d["prompt_id"],
             status=d["status"],
@@ -287,18 +289,24 @@ class ResponseRecord:
 
 
 def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
-    """Final records by prompt_id; tolerates a truncated trailing line."""
+    """Final records by prompt_id; tolerates a truncated trailing line.
+
+    A complete line that is valid JSON but not an object raises
+    ``ValueError`` naming the file and the 1-based line number.
+    """
     path = Path(run_dir) / "records.jsonl"
     records: dict[str, ResponseRecord] = {}
     if not path.is_file():
         return records
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             record = ResponseRecord.from_json(line)
         except (json.JSONDecodeError, KeyError):
             continue  # interrupted write; the prompt will be re-run
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.setdefault(record.prompt_id, record)
     return records
 

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from lingobf.annotations import MARKERS
+from lingobf.obfuscate import CoverageError
 from lingobf.corpus import (
     build_dataset,
     corpus_stats,
@@ -67,6 +68,23 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
 
 # ---------------------------------------------------------------------------
 # Dataset generation
+
+
+def test_exact_case_build_refuses_what_folded_load_passed(tmp_path, corpus_dir):
+    # The load-time check folds case, so capitalized Problemese passes it;
+    # a --no-case-aware build matches exactly and must refuse the problem.
+    shutil.copytree(corpus_dir / "birds-x", tmp_path / "corpus" / "birds-x")
+    text = tmp_path / "corpus" / "birds-x" / "problem.txt"
+    text.write_text(
+        text.read_text(encoding="utf-8").replace("@@@pek@@@", "@@@Pek@@@"), encoding="utf-8"
+    )
+    loaded, report = load_corpus(tmp_path / "corpus")
+    assert report.ok
+    assert build_dataset(loaded, per_problem=2, seed=7, fold_case=True)
+    with pytest.raises(CoverageError) as exc:
+        build_dataset(loaded, per_problem=2, seed=7, fold_case=False)
+    assert list(exc.value.gaps) == ["context"]
+    assert [gap.text for gap in exc.value.gaps["context"]] == ["P"]
 
 
 def test_pair_accounting(corpus, dataset):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import string
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -230,3 +232,142 @@ def test_variant_coverage_checks_answers_too():
     with pytest.raises(CoverageError) as exc:
         obfuscate_variant({}, {"1": "@@@quux@@@"}, AE_SWAP, AE_RULESET)
     assert "answer:1" in str(exc.value)
+
+
+def test_variant_rejects_foreign_map():
+    docs = {"context": annotations.parse("@@@shash@@@ to steal")}
+    with pytest.raises(MapMismatchError):
+        obfuscate_variant(docs, {"q0.1": "@@@has@@@"}, AE_SWAP, SH_RULESET)
+    # The map is checked even when no Problemese needs it.
+    with pytest.raises(MapMismatchError):
+        obfuscate_variant({}, {"q0.1": "42"}, AE_SWAP, SH_RULESET)
+
+
+# ---------------------------------------------------------------------------
+# The compiled render agrees with a per-span reference renderer
+
+
+def _reference_recase(replacement: str, original: str) -> str:
+    if not replacement or original == original.lower():
+        return replacement
+    if len(original) > 1 and original.isupper():
+        return replacement.upper()
+    if original[0].isupper():
+        return replacement[0].upper() + replacement[1:]
+    return replacement
+
+
+def _reference_render(doc, pmap, ruleset, fold_case):
+    """Render one document span by span; None if any span has a coverage gap."""
+    out = []
+    for seg in doc.segments:
+        if isinstance(seg, annotations.RemovedContext):
+            out.append(" ")
+        elif isinstance(seg, annotations.ProblemeseSpan):
+            for unit in segment(annotations.unescape(seg.text), ruleset, fold_case=fold_case):
+                if unit.kind == "grapheme":
+                    image = pmap.pairs[unit.matched]
+                    out.append(_reference_recase(image, unit.text) if fold_case else image)
+                elif unit.kind == "passthrough" and not (
+                    unit.text.isspace() or unit.text.isdigit() or unit.text in string.punctuation
+                ):
+                    return None
+                else:
+                    out.append(unit.text)
+        else:
+            out.append(annotations.unescape(seg.text))
+    return "".join(out)
+
+
+GRAPHEME_POOL = ("a", "e", "i", "o", "u", "p", "t", "k", "s", "h", "sh", "ch", "ng", "é", "ʼ")
+ESCAPED = ("\\@@@", "\\$$$", "\\&&&")
+PLAIN_ALPHABET = "abcxyzQ ,.!?\n0123"
+
+
+@st.composite
+def rulesets_and_maps(draw):
+    pool = draw(st.lists(st.sampled_from(GRAPHEME_POOL), min_size=4, max_size=12, unique=True))
+    n_fixed = draw(st.integers(0, 2))
+    fixed = (*pool[:n_fixed], *draw(st.sampled_from([(), ("Tamika",)])))
+    rest = pool[n_fixed:]
+    sets = []
+    while len(rest) >= 2:
+        size = draw(st.integers(2, len(rest)))
+        if len(rest) - size == 1:
+            size += 1
+        sets.append(tuple(rest[:size]))
+        rest = rest[size:]
+    ruleset = Ruleset(fixed=fixed, sets=tuple(sets))
+    if draw(st.booleans()):
+        pmap = PermutationMap.identity(ruleset)
+    else:
+        pmap = sample_permutation(ruleset, draw(st.integers(0, 2**32)))
+    return ruleset, pmap
+
+
+def _cased(draw, text: str) -> str:
+    style = draw(st.sampled_from(("lower", "upper", "title", "mixed")))
+    if style == "upper":
+        return text.upper()
+    if style == "title":
+        return text[:1].upper() + text[1:]
+    if style == "mixed":
+        flips = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+        return "".join(c.upper() if flip else c for c, flip in zip(text, flips))
+    return text
+
+
+@st.composite
+def annotated_texts(draw, ruleset: Ruleset):
+    """Annotated source with every segment kind, escapes and cased Problemese."""
+    words = (*ruleset.inventory, *ruleset.fixed)
+    plain = st.lists(
+        st.one_of(st.sampled_from(PLAIN_ALPHABET), st.sampled_from(ESCAPED)), max_size=6
+    ).map("".join)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from("ptrs"), max_size=6)):
+        if kind == "s":
+            tokens = []
+            for _ in range(draw(st.integers(0, 8))):
+                choice = draw(st.integers(0, 9))
+                if choice < 7:
+                    tokens.append(_cased(draw, draw(st.sampled_from(words))))
+                elif choice == 7:
+                    tokens.append(draw(st.sampled_from(" ,'3-")))
+                elif choice == 8:
+                    tokens.append(draw(st.sampled_from(ESCAPED)))
+                else:
+                    tokens.append(draw(st.sampled_from("qß")))  # never covered
+            parts.append("@@@" + "".join(tokens) + "@@@")
+        else:
+            marker = {"p": "", "t": "$$$", "r": "&&&"}[kind]
+            parts.append(marker + draw(plain) + marker)
+    return "".join(parts)
+
+
+@given(st.data(), st.booleans())
+def test_compiled_render_matches_per_span_reference(data, fold_case):
+    ruleset, pmap = data.draw(rulesets_and_maps())
+    documents = {
+        f"d{i}": annotations.parse(data.draw(annotated_texts(ruleset))) for i in range(2)
+    }
+    answers = {f"a{i}": data.draw(annotated_texts(ruleset)) for i in range(2)}
+    expected_docs = {
+        name: _reference_render(doc, pmap, ruleset, fold_case) for name, doc in documents.items()
+    }
+    expected_answers = {
+        key: _reference_render(annotations.parse(raw), pmap, ruleset, fold_case)
+        for key, raw in answers.items()
+    }
+    uncovered = {name for name, text in expected_docs.items() if text is None} | {
+        f"answer:{key}" for key, text in expected_answers.items() if text is None
+    }
+    if uncovered:
+        with pytest.raises(CoverageError) as exc:
+            obfuscate_variant(documents, answers, pmap, ruleset, fold_case=fold_case)
+        assert set(exc.value.gaps) == uncovered
+    else:
+        assert obfuscate_variant(documents, answers, pmap, ruleset, fold_case=fold_case) == (
+            expected_docs,
+            expected_answers,
+        )

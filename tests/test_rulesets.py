@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -266,6 +268,24 @@ def test_map_issues_flags_violations():
         ruleset_id=PLOSIVE_TABLE.ident,
     )
     assert any("column" in issue for issue in map_issues(PLOSIVE_TABLE, broken))
+
+
+# ---------------------------------------------------------------------------
+# Identity
+
+
+def test_ident_is_digest_of_serialized_form(somali):
+    for rs in (somali, PLOSIVE_TABLE, NASAL_FREE_TABLE):
+        payload = json.dumps(ruleset_to_dict(rs), ensure_ascii=False, sort_keys=True)
+        assert rs.ident == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def test_ident_follows_content_under_replace():
+    changed = dataclasses.replace(TWO_SETS, sets=(("p", "t", "k"), ("b", "d")))
+    renamed = dataclasses.replace(TWO_SETS, name="other")
+    assert changed.ident != TWO_SETS.ident
+    assert renamed.ident == TWO_SETS.ident  # the name is not content
+    assert dataclasses.replace(changed, sets=TWO_SETS.sets).ident == TWO_SETS.ident
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,26 @@ def test_resume_skips_final_records_and_completes(tmp_path):
     }
 
 
+@pytest.mark.parametrize("line", ["[]", "3", '"x"', "null"])
+def test_read_records_rejects_non_object_line(tmp_path, line):
+    run([make_prompt(0), make_prompt(1)], ENDPOINT, tmp_path / "run", transport=ok_transport)
+    path = tmp_path / "run" / "records.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    # A complete non-object line is bad data, not a torn write; a torn
+    # last line after it is still skipped.
+    path.write_text(f"{first}\n{line}\n{second}\n{{\"prompt_id\": \"x", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: .*not an object"):
+        read_records(tmp_path / "run")
+
+
+def test_read_records_skips_torn_last_line(tmp_path):
+    run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=ok_transport)
+    path = tmp_path / "run" / "records.jsonl"
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"prompt_id": "x:p0:q1", "status": "ok", "raw')
+    assert set(read_records(tmp_path / "run")) == {"x:p0:q0"}
+
+
 def test_exactly_once_with_fault_injection(tmp_path):
     """Crash-like failures never produce duplicate final records."""
     prompts = [make_prompt(i) for i in range(6)]
