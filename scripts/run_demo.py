@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
 """End-to-end demo on the bundled fixture corpus, no network required.
 
-Generates obfuscated variants, serves a scripted "knowledge model" that
-answers by looking up original-orthography words it has memorized, runs
-the full evaluation pipeline against it, and prints the resulting
-original / obfuscated / robust scores.  The point of the exercise: a model
-that only knows the original words aces the unobfuscated problems and
-collapses to zero on the obfuscated ones, which is exactly the shortcut
-the benchmark is designed to expose.
+Drives every stage through the ``lingobf`` command line, with ``run``
+pointed at a local mock endpoint serving a scripted "knowledge model" that
+answers by looking up the original-orthography words it has memorized,
+and prints the original / obfuscated / robust scores of the report.  Such
+a model aces the unobfuscated problems and collapses on the obfuscated
+ones, which is exactly the shortcut the benchmark is designed to expose.
 
 Usage:
-    python scripts/run_demo.py [--seed 7] [--out demo-output]
+    python scripts/run_demo.py [--seed 7] [--per-problem 6] [--out demo-output]
+
+Artifacts follow the CLI layout under --out: dataset/, prompts.jsonl,
+run/, scores.json, report/ and hist.csv.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import shutil
 import sys
 from pathlib import Path
@@ -25,49 +26,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from lingobf import annotations  # noqa: E402
-from lingobf.corpus import build_dataset, load_corpus, write_dataset  # noqa: E402
-from lingobf.metrics import aggregate, report_summary, score_run  # noqa: E402
-from lingobf.mockserver import MockModelServer  # noqa: E402
-from lingobf.prompts import build_prompts, write_prompts  # noqa: E402
-from lingobf.runner import EndpointConfig, read_records, run  # noqa: E402
-from lingobf.stats import bootstrap, histogram_csv  # noqa: E402
+from lingobf.cli import main as cli_main  # noqa: E402
+from lingobf.corpus import load_corpus, load_dataset  # noqa: E402
+from lingobf.mockserver import MockModelServer, knowledge_reply  # noqa: E402
 
 
-def knowledge_reply_fn(corpus, records):
-    """Reply with original gold answers whenever the prompt contains a
-    Problemese word from the unobfuscated corpus; otherwise punt."""
-    word_to_problem: dict[str, str] = {}
-    for problem in corpus.problems:
-        docs = [problem.preamble, problem.context]
-        for q in problem.questions:
-            docs.append(q.body)
-            docs.extend(s.text for s in q.subquestions)
-        for doc in docs:
-            for span in doc.problemese_spans:
-                for token in re.findall(r"[^\W\d_]+", annotations.unescape(span.text)):
-                    word_to_problem[token] = problem.id
-
-    original_answers = {
-        (r.problem_id, frozenset(r.expected_keys)): r.answers
-        for r in records
-        if r.p == 0
-    }
-
-    def reply(system: str, user: str) -> str:
-        hits = {
-            word_to_problem[token]
-            for token in re.findall(r"[^\W\d_]+", user)
-            if token in word_to_problem
-        }
-        if len(hits) == 1:
-            keys = frozenset(json.loads(user.rstrip().splitlines()[-1]))
-            answers = original_answers.get((hits.pop(), keys))
-            if answers is not None:
-                return json.dumps(answers, ensure_ascii=False)
-        return json.dumps({"note": "these words are new to me"})
-
-    return reply
+def _cli(*argv) -> None:
+    code = cli_main([str(arg) for arg in argv])
+    if code:
+        raise SystemExit(code)
 
 
 def main() -> int:
@@ -81,52 +48,30 @@ def main() -> int:
     if out.exists():
         shutil.rmtree(out)
     out.mkdir(parents=True)
+    corpus_dir, dataset, run_dir = REPO / "fixtures" / "corpus", out / "dataset", out / "run"
+    prompts, scores, endpoint = out / "prompts.jsonl", out / "scores.json", out / "endpoint.json"
 
-    corpus, load_report = load_corpus(REPO / "fixtures" / "corpus")
-    if not load_report.ok:
-        for failure in load_report.failures:
-            print(f"load failure in {failure.problem_id}: {failure.errors}", file=sys.stderr)
-        return 1
-    print(f"loaded {len(corpus)} problems")
-
-    records = build_dataset(corpus, per_problem=args.per_problem, seed=args.seed)
-    manifest = write_dataset(
-        records, out / "dataset", seed=args.seed, per_problem=args.per_problem, corpus=corpus
-    )
-    print(f"dataset: {manifest['variants']} variants, {manifest['pairs']} answer pairs")
-
-    prompts = build_prompts(records)
-    write_prompts(prompts, out / "prompts.jsonl")
-
-    reply = knowledge_reply_fn(corpus, records)
+    _cli("generate", corpus_dir, "--out", dataset, "--per-problem", args.per_problem,
+         "--seed", args.seed)
+    _cli("prompt", dataset, "--out", prompts)
+    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(dataset)[0])
     with MockModelServer(reply) as server:
-        endpoint = EndpointConfig(name="knowledge-lookup", url=server.url, retry_base_s=0.0)
-        summary = run(prompts, endpoint, out / "run", parallelism=4)
-    print(f"run: {summary['ok']} ok / {summary['total']} prompts")
+        config = {"name": "knowledge-lookup", "url": server.url, "retry_base_s": 0.0}
+        endpoint.write_text(json.dumps(config), encoding="utf-8")
+        _cli("run", "--prompts", prompts, "--endpoint", endpoint, "--out", run_dir)
+    _cli("score", "--run", run_dir, "--dataset", dataset, "--out", scores)
+    _cli("bootstrap", "--scores", scores, "--seed", args.seed, "--out", out / "hist.csv")
+    _cli("report", "--scores", scores, "--out", out / "report", "--run", run_dir)
 
-    tensor, _ = score_run(read_records(out / "run"), records)
-    (out / "scores.json").write_text(
-        json.dumps(tensor.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    report = aggregate(tensor)
-    (out / "summary.json").write_text(
-        json.dumps(report_summary(report), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    boot = bootstrap(tensor, sets=500, seed=args.seed)
-    (out / "bootstrap.csv").write_text(histogram_csv(boot), encoding="utf-8")
-
+    summary = json.loads((out / "report" / "summary.json").read_text(encoding="utf-8"))
     print()
-    print(f"original score   : {report.m_og:.3f}")
-    print(f"obfuscated score : {report.m_obf:.3f}")
-    print(f"robust score     : {report.m_rob:.3f}")
-    print(f"bootstrap mean   : {boot.mean:.3f} over {boot.sets} sets")
+    print(f"original score   : {summary['m_og']:.3f}")
+    print(f"obfuscated score : {summary['m_obf']:.3f}")
+    print(f"robust score     : {summary['m_rob']:.3f}")
     print()
-    gap = report.m_og - report.m_obf
     print(
-        f"knowledge-only model loses {gap:.3f} under obfuscation: "
-        "original-orthography lookups stop working."
+        f"knowledge-only model loses {summary['m_og'] - summary['m_obf']:.3f} under "
+        "obfuscation: original-orthography lookups stop working."
     )
     print(f"artifacts in {out}/")
     return 0

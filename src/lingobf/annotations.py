@@ -193,11 +193,15 @@ def render(
     Name tags emit their replacement text, removed context collapses to a
     single space, and Problemese spans go through the obfuscation engine
     when a map is given.  Rendering with the identity map equals rendering
-    with no map at all.
+    with no map at all.  A map drawn for another ruleset raises
+    ``MapMismatchError``, whether or not the document has Problemese.
     """
-    if pmap is not None and ruleset is None:
-        raise ValueError("a ruleset is required when a map is given")
-    from .obfuscate import apply  # deferred: obfuscate imports this module
+    from .obfuscate import _check_map, apply  # deferred: obfuscate imports this module
+
+    if pmap is not None:
+        if ruleset is None:
+            raise ValueError("a ruleset is required when a map is given")
+        _check_map(pmap, ruleset)
 
     out = []
     for seg in doc.segments:

@@ -88,17 +88,10 @@ def _cmd_sample(args) -> int:
 
 def _cmd_generate(args) -> int:
     loaded = _load_corpus_or_fail(args.corpus)
-    records = corpus.build_dataset(
+    dataset = corpus.build_dataset(
         loaded, per_problem=args.per_problem, seed=args.seed, fold_case=args.case_aware
     )
-    manifest = corpus.write_dataset(
-        records,
-        args.out,
-        seed=args.seed,
-        per_problem=args.per_problem,
-        fold_case=args.case_aware,
-        corpus=loaded,
-    )
+    manifest = corpus.write_dataset(dataset, args.out)
     print(
         json.dumps(
             {k: manifest[k] for k in ("problems", "variants", "records", "pairs")},

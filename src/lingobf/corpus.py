@@ -30,7 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import annotations
 from .obfuscate import CompiledTexts
@@ -359,9 +359,31 @@ def variant_maps(problem: Problem, per_problem: int, seed: int) -> list[Permutat
     return [identity, *sampled]
 
 
+@dataclass(frozen=True)
+class Dataset:
+    """Rendered records plus the facts they were generated from.
+
+    ``maps`` holds the sampled map of every obfuscated variant (p >= 1) by
+    variant id, exactly as the build drew and rendered it.  Iterates and
+    sizes like its records.
+    """
+
+    records: tuple[DatasetRecord, ...]
+    maps: Mapping[str, PermutationMap]
+    seed: int
+    per_problem: int
+    fold_case: bool
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __len__(self):
+        return len(self.records)
+
+
 def build_dataset(
     corpus: Corpus, per_problem: int = 6, seed: int = 0, *, fold_case: bool = True
-) -> list[DatasetRecord]:
+) -> Dataset:
     """Render variant p=0 plus sampled variants for every problem.
 
     Deterministic in (corpus, per_problem, seed).  A problem whose ruleset
@@ -369,6 +391,7 @@ def build_dataset(
     fewer variants.
     """
     records: list[DatasetRecord] = []
+    maps: dict[str, PermutationMap] = {}
     for problem in corpus.problems:
         documents = _problem_documents(problem)
         raw_answers = {}
@@ -382,6 +405,8 @@ def build_dataset(
 
         compiled = CompiledTexts(documents, raw_answers, problem.ruleset, fold_case=fold_case)
         for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
+            if p > 0:
+                maps[f"{problem.id}:p{p}"] = pmap
             rendered_docs, rendered_answers = compiled.render(pmap)
             for j, q in enumerate(problem.questions):
                 keys = [sub.key for sub in q.subquestions]
@@ -408,28 +433,28 @@ def build_dataset(
                         },
                     )
                 )
-    return records
+    return Dataset(
+        records=tuple(records),
+        maps=maps,
+        seed=seed,
+        per_problem=per_problem,
+        fold_case=fold_case,
+    )
 
 
-def write_dataset(
-    records: Sequence[DatasetRecord],
-    out_dir: str | Path,
-    *,
-    seed: int,
-    per_problem: int,
-    fold_case: bool = True,
-    corpus: Corpus | None = None,
-) -> dict:
+def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     """Persist records.jsonl + manifest.json; returns the manifest.
 
-    The manifest carries toolkit version, generation parameters, the
-    sampled map of every variant, and a content digest per variant.
+    The manifest carries toolkit version, the generation parameters and
+    sampled maps the dataset was built with, and a content digest per
+    variant.
     """
     from . import __version__
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    records = dataset.records
     lines = [r.to_json() for r in records]
     (out_dir / "records.jsonl").write_text(
         "".join(line + "\n" for line in lines), encoding="utf-8"
@@ -442,26 +467,20 @@ def write_dataset(
         )
     digests = {vid: h.hexdigest() for vid, h in per_variant.items()}
 
-    maps = {}
-    if corpus is not None:
-        for problem in corpus.problems:
-            for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
-                if p == 0:
-                    continue
-                maps[f"{problem.id}:p{p}"] = {"seed": pmap.seed, "pairs": pmap.pairs}
-
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "lingobf", "version": __version__},
-        "seed": seed,
-        "per_problem": per_problem,
-        "fold_case": fold_case,
+        "seed": dataset.seed,
+        "per_problem": dataset.per_problem,
+        "fold_case": dataset.fold_case,
         "problems": len({r.problem_id for r in records}),
         "variants": len(digests),
         "records": len(records),
         "pairs": sum(len(r.subquestions) for r in records),
         "digests": digests,
-        "maps": maps,
+        "maps": {
+            vid: {"seed": pmap.seed, "pairs": pmap.pairs} for vid, pmap in dataset.maps.items()
+        },
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",

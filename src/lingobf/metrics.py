@@ -195,7 +195,12 @@ def score_run(
         for p in p_values:
             rows = []
             for j in question_indices:
-                record = variants[p][j]
+                record = variants[p].get(j)
+                if record is None:
+                    raise ValueError(
+                        f"dataset for {problem_id}: variant p={p} lacks question {j}, "
+                        "which p=0 has"
+                    )
                 prompt_id = f"{record.variant_id}:q{j}"
                 response = responses.get(prompt_id)
                 if response is None:

@@ -3,18 +3,57 @@
 Serves a chat-completion-shaped API on localhost: POST bodies with
 ``messages`` come in, ``{"choices": [{"message": {"content": ...}}]}``
 goes out.  The reply is produced by a caller-supplied function of
-(system, user), so tests can script knowledge-lookup models, planted
-empty/garbage responses, or fault injection without any network.
+(system, user), so tests can script planted empty/garbage responses or
+fault injection without any network.  :func:`knowledge_reply` is the
+scripted knowledge-lookup model shared by the tests and the demo.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, Iterable
+
+from . import annotations
+from .corpus import Corpus, DatasetRecord, _problem_documents
 
 ReplyFn = Callable[[str, str], str]
+
+_WORD = re.compile(r"[^\W\d_]+")
+
+
+def knowledge_reply(corpus: Corpus, records: Iterable[DatasetRecord]) -> ReplyFn:
+    """A scripted model that answers by dictionary lookup of original words.
+
+    A Problemese token of one problem's unobfuscated documents names that
+    problem (a token of two problems names none); the key set of the
+    prompt's JSON skeleton names the question; the reply is the p=0 gold.
+    Any other prompt gets a useless-but-parseable reply.  Original prompts
+    thus score through language knowledge alone, obfuscated ones do not.
+    """
+    owners: dict[str, set[str]] = {}
+    for problem in corpus.problems:
+        for doc in _problem_documents(problem).values():
+            for span in doc.problemese_spans:
+                for token in _WORD.findall(annotations.unescape(span.text)):
+                    owners.setdefault(token, set()).add(problem.id)
+    word_to_problem = {token: ids.pop() for token, ids in owners.items() if len(ids) == 1}
+    answer_key = {
+        (r.problem_id, frozenset(r.expected_keys)): r.answers for r in records if r.p == 0
+    }
+
+    def reply(system: str, user: str) -> str:
+        hits = {word_to_problem[t] for t in _WORD.findall(user) if t in word_to_problem}
+        if len(hits) == 1:
+            keys = frozenset(json.loads(user.rstrip().splitlines()[-1]))
+            answers = answer_key.get((hits.pop(), keys))
+            if answers is not None:
+                return json.dumps(answers, ensure_ascii=False)
+        return json.dumps({"note": "no idea"})
+
+    return reply
 
 
 class MockModelServer:

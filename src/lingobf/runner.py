@@ -156,28 +156,29 @@ def _coerce(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
 
 
-def _try_object(text: str) -> dict | None:
+def _direct(raw: str, expected_keys: Sequence[str]) -> dict | None:
     try:
-        obj = json.loads(text)
+        obj = json.loads(raw)
     except json.JSONDecodeError:
         return None
     return obj if isinstance(obj, dict) else None
 
 
-def _strip_fences(text: str) -> str | None:
-    m = _FENCE.match(text.strip())
-    return m.group(1) if m else None
+def _fenced(raw: str, expected_keys: Sequence[str]) -> dict | None:
+    m = _FENCE.match(raw.strip())
+    return _direct(m.group(1), expected_keys) if m else None
 
 
-def _first_balanced_object(text: str) -> str | None:
-    start = text.find("{")
+def _embedded(raw: str, expected_keys: Sequence[str]) -> dict | None:
+    """The first balanced ``{...}`` substring, parsed."""
+    start = raw.find("{")
     if start < 0:
         return None
     depth = 0
     in_string = False
     escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
+    for i in range(start, len(raw)):
+        ch = raw[i]
         if in_string:
             if escaped:
                 escaped = False
@@ -192,54 +193,32 @@ def _first_balanced_object(text: str) -> str | None:
         elif ch == "}":
             depth -= 1
             if depth == 0:
-                return text[start : i + 1]
+                return _direct(raw[start : i + 1], expected_keys)
     return None
 
 
-def parse_response(
-    raw: str,
-    expected_keys: Sequence[str],
-    *,
-    steps: Sequence[int] = (1, 2, 3, 4),
-) -> tuple[dict[str, str] | None, str]:
-    """(parsed key->answer map, status) for a raw model response.
+def _key_pairs(raw: str, expected_keys: Sequence[str]) -> dict | None:
+    found: dict[str, str] = {}
+    for key in expected_keys:
+        m = re.search(r'"%s"\s*:\s*"((?:[^"\\]|\\.)*)"' % re.escape(key), raw)
+        if m:
+            found[key] = json.loads(f'"{m.group(1)}"')
+    return found or None
 
-    ``steps`` exists so tests can disable lower rungs and check that each
-    rung parses the same inputs identically on its own.
-    """
+
+_LADDER = (_direct, _fenced, _embedded, _key_pairs)
+
+
+def parse_response(
+    raw: str, expected_keys: Sequence[str]
+) -> tuple[dict[str, str] | None, str]:
+    """(parsed key->answer map, status) for a raw model response."""
     if not raw or not raw.strip():
         return None, STATUS_EMPTY
-
-    if 1 in steps:
-        obj = _try_object(raw)
+    for rung in _LADDER:
+        obj = rung(raw, expected_keys)
         if obj is not None:
             return {str(k): _coerce(v) for k, v in obj.items()}, STATUS_OK
-
-    if 2 in steps:
-        inner = _strip_fences(raw)
-        if inner is not None:
-            obj = _try_object(inner)
-            if obj is not None:
-                return {str(k): _coerce(v) for k, v in obj.items()}, STATUS_OK
-
-    if 3 in steps:
-        candidate = _first_balanced_object(raw)
-        if candidate is not None:
-            obj = _try_object(candidate)
-            if obj is not None:
-                return {str(k): _coerce(v) for k, v in obj.items()}, STATUS_OK
-
-    if 4 in steps:
-        found: dict[str, str] = {}
-        for key in expected_keys:
-            m = re.search(
-                r'"%s"\s*:\s*"((?:[^"\\]|\\.)*)"' % re.escape(key), raw
-            )
-            if m:
-                found[key] = json.loads(f'"{m.group(1)}"')
-        if found:
-            return found, STATUS_OK
-
     return None, STATUS_BAD_PARSING
 
 
@@ -289,22 +268,27 @@ class ResponseRecord:
 
 
 def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
-    """Final records by prompt_id; tolerates a truncated trailing line.
+    """Final records by prompt_id.
 
-    A complete line that is valid JSON but not an object raises
-    ``ValueError`` naming the file and the 1-based line number.
+    A line that does not decode to a complete record raises ``ValueError``
+    naming the file and the 1-based line number.  The one exception is a
+    final line without its newline: the torn tail of an interrupted write,
+    which is skipped so that its prompt is re-run.
     """
     path = Path(run_dir) / "records.jsonl"
     records: dict[str, ResponseRecord] = {}
     if not path.is_file():
         return records
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    # Split on "\n" only: records may hold raw U+2028 and the like.  The
+    # last piece is "" after a final newline, else the torn tail.
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             record = ResponseRecord.from_json(line)
-        except (json.JSONDecodeError, KeyError):
-            continue  # interrupted write; the prompt will be re-run
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: record lacks field {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
         records.setdefault(record.prompt_id, record)
@@ -388,13 +372,13 @@ def run(
 
     lock = threading.Lock()
     records_path = run_dir / "records.jsonl"
-    # A crash can leave a torn final line; terminate it so appended records
-    # start on a fresh line (the torn prompt is simply re-run).
+    # A crash can leave a torn final line, which read_records skipped; cut
+    # it off so appended records start on a fresh line (its prompt is re-run).
     if records_path.is_file():
-        tail = records_path.read_bytes()[-1:]
-        if tail and tail != b"\n":
-            with records_path.open("a", encoding="utf-8") as fh:
-                fh.write("\n")
+        data = records_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            os.truncate(records_path, complete)
 
     def worker(prompt: PromptInstance) -> str:
         record = _query_one(prompt, endpoint, transport)

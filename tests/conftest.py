@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-import re
 from pathlib import Path
 
 import pytest
@@ -43,57 +41,3 @@ def somali():
 @pytest.fixture(scope="session")
 def stodsde():
     return load_ruleset(FIXTURES / "rulesets" / "stodsde.json")
-
-
-def skeleton_keys(user_message: str) -> frozenset[str]:
-    """Expected keys, recovered from the JSON skeleton on the prompt's last line."""
-    last = user_message.rstrip().splitlines()[-1]
-    return frozenset(json.loads(last))
-
-
-def build_knowledge_reply(corpus: Corpus, dataset_records):
-    """A scripted model that answers by dictionary lookup of original words.
-
-    Problemese tokens from the unobfuscated corpus index the problem; the
-    question is identified by its key set; the reply is the original
-    (p=0) gold answers.  Prompts containing no known original word get a
-    useless-but-parseable reply.  This reenacts a model scoring through
-    language knowledge rather than reasoning: original prompts score,
-    obfuscated ones do not.
-    """
-    from lingobf import annotations
-
-    word_to_problem: dict[str, str] = {}
-    ambiguous: set[str] = set()
-    for problem in corpus.problems:
-        docs = [problem.preamble, problem.context]
-        for q in problem.questions:
-            docs.append(q.body)
-            docs.extend(s.text for s in q.subquestions)
-        for doc in docs:
-            for span in doc.problemese_spans:
-                for token in re.findall(r"[^\W\d_]+", annotations.unescape(span.text)):
-                    if word_to_problem.get(token, problem.id) != problem.id:
-                        ambiguous.add(token)
-                    word_to_problem[token] = problem.id
-    for token in ambiguous:
-        word_to_problem.pop(token, None)
-
-    answer_key: dict[tuple[str, frozenset[str]], dict[str, str]] = {}
-    for record in dataset_records:
-        if record.p == 0:
-            answer_key[(record.problem_id, frozenset(record.expected_keys))] = record.answers
-
-    def reply(system: str, user: str) -> str:
-        hits = {
-            word_to_problem[token]
-            for token in re.findall(r"[^\W\d_]+", user)
-            if token in word_to_problem
-        }
-        if len(hits) == 1:
-            answers = answer_key.get((hits.pop(), skeleton_keys(user)))
-            if answers is not None:
-                return json.dumps(answers, ensure_ascii=False)
-        return json.dumps({"note": "no idea"})
-
-    return reply

@@ -15,7 +15,7 @@ from lingobf import annotations
 from lingobf.cli import main as cli_main
 from lingobf.corpus import build_dataset, load_dataset, variant_maps
 from lingobf.metrics import aggregate, score_run
-from lingobf.mockserver import MockModelServer
+from lingobf.mockserver import MockModelServer, knowledge_reply
 from lingobf.obfuscate import apply, segment
 from lingobf.prompts import build_prompts
 from lingobf.rng import SplitMix64
@@ -31,7 +31,6 @@ from lingobf.rulesets import (
 from lingobf.runner import read_records, run as run_prompts, summarize_errors, EndpointConfig
 from lingobf.stats import bootstrap, ols_fit
 
-from .conftest import build_knowledge_reply
 from .test_metrics import brute_force_report, random_tensor
 from .test_stats import ENUMERABLE
 
@@ -313,7 +312,7 @@ def test_10_end_to_end_golden_run(corpus_dir, tmp_path, capsys):
 
 def test_11_no_context_knowledge_shortcut(corpus, dataset, tmp_path):
     with criterion(11, "no-context knowledge shortcut", 10.0):
-        reply_fn = build_knowledge_reply(corpus, dataset)
+        reply_fn = knowledge_reply(corpus, dataset)
         prompts = build_prompts(dataset, no_context=True)
 
         def transport(url, headers, body, timeout):

@@ -19,7 +19,7 @@ from lingobf.annotations import (
     serialize,
     unescape,
 )
-from lingobf.rulesets import PermutationMap, Ruleset
+from lingobf.rulesets import MapMismatchError, PermutationMap, Ruleset
 
 # Annotated extracts in the documented style: name tags, removed context,
 # a Problemese span, and a stripped grading-guideline line.
@@ -181,6 +181,11 @@ def test_render_identity_equals_render_absent(corpus):
             docs.extend(s.text for s in q.subquestions)
         for doc in docs:
             assert render(doc, identity, problem.ruleset) == render(doc)
+
+
+def test_render_rejects_foreign_map_without_problemese():
+    with pytest.raises(MapMismatchError):
+        render(parse("no Problemese here"), AE_SWAP, Ruleset(sets=(("s", "h"),)))
 
 
 def test_render_requires_ruleset_with_map():

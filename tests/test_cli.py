@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,3 +217,17 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_demo_drives_the_cli_to_the_expected_scores(capsys, monkeypatch, tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+    spec = importlib.util.spec_from_file_location("run_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", ["run_demo.py", "--seed", "7", "--out", str(tmp_path)])
+    assert demo.main() == 0
+    out = capsys.readouterr().out
+    for line in ("original score   : 1.000", "obfuscated score : 0.167", "robust score     : 0.167"):
+        assert line in out
+    for artifact in ("dataset", "prompts.jsonl", "run", "scores.json", "report", "hist.csv"):
+        assert (tmp_path / artifact).exists()

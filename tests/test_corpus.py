@@ -158,8 +158,7 @@ def test_stats_example_counts():
 
 def test_build_dataset_deterministic_bytes(corpus, tmp_path):
     for name in ("a", "b"):
-        records = build_dataset(corpus, per_problem=6, seed=7)
-        write_dataset(records, tmp_path / name, seed=7, per_problem=6, corpus=corpus)
+        write_dataset(build_dataset(corpus, per_problem=6, seed=7), tmp_path / name)
     assert (tmp_path / "a" / "records.jsonl").read_bytes() == (
         tmp_path / "b" / "records.jsonl"
     ).read_bytes()
@@ -175,20 +174,18 @@ def test_different_seed_different_dataset(corpus):
 
 
 def test_same_map_consistency(corpus, dataset):
-    """Re-deriving any stored answer from the variant's map reproduces it."""
-    problems = {p.id: p for p in corpus.problems}
-    for problem_id, problem in problems.items():
-        maps = variant_maps(problem, 6, seed=7)
-        for record in dataset:
-            if record.problem_id != problem_id or record.p == 0:
-                continue
-            pmap = maps[record.p]
-            question = problem.questions[record.question_index]
-            for sub in question.subquestions:
-                from lingobf.annotations import parse, render
+    """Re-rendering any stored answer with the variant's map reproduces it."""
+    from lingobf.annotations import parse, render
 
-                rederived = render(parse(sub.answer), pmap, problem.ruleset)
-                assert rederived == record.answers[sub.key]
+    problems = {p.id: p for p in corpus.problems}
+    for record in dataset:
+        if record.p == 0:
+            continue
+        problem = problems[record.problem_id]
+        pmap = dataset.maps[record.variant_id]
+        assert pmap == variant_maps(problem, 6, seed=7)[record.p]
+        for sub in problem.questions[record.question_index].subquestions:
+            assert render(parse(sub.answer), pmap, problem.ruleset) == record.answers[sub.key]
 
 
 def test_no_leakage_in_prompt_facing_fields(corpus, dataset):
@@ -211,7 +208,7 @@ def test_identity_variant_matches_unobfuscated_render(dataset):
 
 
 def test_dataset_round_trip(tmp_path, corpus, dataset):
-    manifest = write_dataset(dataset, tmp_path / "ds", seed=7, per_problem=6, corpus=corpus)
+    manifest = write_dataset(dataset, tmp_path / "ds")
     loaded, manifest_again = load_dataset(tmp_path / "ds")
     assert [r.to_json() for r in loaded] == [r.to_json() for r in dataset]
     assert manifest_again == manifest
@@ -220,7 +217,7 @@ def test_dataset_round_trip(tmp_path, corpus, dataset):
 
 
 def test_manifest_maps_rederive_variants(tmp_path, corpus, dataset):
-    write_dataset(dataset, tmp_path / "ds", seed=7, per_problem=6, corpus=corpus)
+    write_dataset(dataset, tmp_path / "ds")
     _, manifest = load_dataset(tmp_path / "ds")
     problems = {p.id: p for p in corpus.problems}
     for variant_id, info in manifest["maps"].items():
@@ -229,6 +226,28 @@ def test_manifest_maps_rederive_variants(tmp_path, corpus, dataset):
         from lingobf.rulesets import sample_permutation
 
         assert sample_permutation(problem.ruleset, info["seed"]).pairs == info["pairs"]
+
+
+def test_maps_drawn_once_per_problem(tmp_path, corpus, monkeypatch):
+    import lingobf.corpus
+
+    calls = []
+    draw = lingobf.corpus.sample_distinct
+    monkeypatch.setattr(
+        lingobf.corpus, "sample_distinct", lambda *args: calls.append(args) or draw(*args)
+    )
+    write_dataset(build_dataset(corpus, per_problem=6, seed=7), tmp_path / "ds")
+    assert len(calls) == len(corpus) == 3
+
+
+def test_manifest_records_the_build_parameters(tmp_path, corpus):
+    dataset = build_dataset(corpus, per_problem=2, seed=3, fold_case=False)
+    manifest = write_dataset(dataset, tmp_path / "ds")
+    assert (manifest["per_problem"], manifest["seed"], manifest["fold_case"]) == (2, 3, False)
+    assert manifest["maps"] == {
+        vid: {"seed": pmap.seed, "pairs": pmap.pairs} for vid, pmap in dataset.maps.items()
+    }
+    assert set(manifest["maps"]) == {r.variant_id for r in dataset if r.p > 0}
 
 
 # ---------------------------------------------------------------------------

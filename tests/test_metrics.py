@@ -148,6 +148,12 @@ def test_unknown_prompt_id_raises(dataset):
         score_run(responses, dataset)
 
 
+def test_variant_missing_a_question_is_a_value_error(dataset):
+    records = [r for r in dataset if (r.problem_id, r.p, r.question_index) != ("birds-x", 2, 1)]
+    with pytest.raises(ValueError, match="birds-x: variant p=2 lacks question 1"):
+        score_run({}, records)
+
+
 def test_tensor_serialization_round_trip(dataset):
     tensor, _ = score_run(all_correct_responses(dataset), dataset)
     again = ScoreTensor.from_dict(json.loads(json.dumps(tensor.to_dict())))

@@ -14,7 +14,9 @@ from lingobf.runner import (
     STATUS_EMPTY,
     STATUS_OK,
     STATUS_TRANSPORT_ERROR,
+    _LADDER,
     EndpointConfig,
+    _key_pairs,
     build_request,
     error_summary_table,
     extract_text,
@@ -67,9 +69,8 @@ def test_embedded_object():
 
 def test_key_regex_fallback():
     raw = 'the answers are "1": "abc" and also "2": "d\\"e"'
-    parsed, status = parse_response(raw, ["1", "2"], steps=(4,))
-    assert status == STATUS_OK
-    assert parsed == {"1": "abc", "2": 'd"e'}
+    assert _key_pairs(raw, ["1", "2"]) == {"1": "abc", "2": 'd"e'}
+    assert parse_response(raw, ["1", "2"]) == ({"1": "abc", "2": 'd"e'}, STATUS_OK)
 
 
 def test_prose_is_bad_parsing():
@@ -108,10 +109,13 @@ def test_missing_keys_still_ok():
     ],
 )
 def test_ladder_monotonicity(raw, first_step):
-    """Whatever rung parses a text, later-only ladders parse it identically."""
-    full = parse_response(raw, ["1"])
-    only_from_k = parse_response(raw, ["1"], steps=tuple(range(first_step, 5)))
-    assert full == only_from_k == ({"1": "a"}, STATUS_OK)
+    """The first rung that parses a text gives the full ladder's result on its
+    own, and every later rung parses it identically or not at all."""
+    rungs = [rung(raw, ["1"]) for rung in _LADDER]
+    assert rungs[: first_step - 1] == [None] * (first_step - 1)
+    assert rungs[first_step - 1] == {"1": "a"}
+    assert all(got in (None, {"1": "a"}) for got in rungs[first_step:])
+    assert parse_response(raw, ["1"]) == ({"1": "a"}, STATUS_OK)
 
 
 @given(st.text(max_size=200))
@@ -282,6 +286,19 @@ def test_read_records_rejects_non_object_line(tmp_path, line):
     # last line after it is still skipped.
     path.write_text(f"{first}\n{line}\n{second}\n{{\"prompt_id\": \"x", encoding="utf-8")
     with pytest.raises(ValueError, match=r"records\.jsonl: line 2: .*not an object"):
+        read_records(tmp_path / "run")
+
+
+def test_read_records_rejects_bad_lines_mid_file(tmp_path):
+    run([make_prompt(0), make_prompt(1)], ENDPOINT, tmp_path / "run", transport=ok_transport)
+    path = tmp_path / "run" / "records.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    incomplete = '{"prompt_id": "p9"}'
+    path.write_text(f"{first}\n{{garbage\n{incomplete}\n{second}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: "):
+        read_records(tmp_path / "run")
+    path.write_text(f"{first}\n{incomplete}\n{second}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 2: record lacks field 'status'"):
         read_records(tmp_path / "run")
 
 
