@@ -23,11 +23,7 @@ and is dropped only on render.  Normalization is an ingest concern
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
-
-if TYPE_CHECKING:
-    from .obfuscate import Unit
-    from .rulesets import PermutationMap, Ruleset
+from typing import Union
 
 MARKERS = ("$$$", "&&&", "@@@")
 _ESCAPE = "\\"
@@ -181,85 +177,13 @@ def serialize(doc: AnnotatedDocument) -> str:
     return "".join(out)
 
 
-def render(
-    doc: AnnotatedDocument,
-    pmap: "PermutationMap | None" = None,
-    ruleset: "Ruleset | None" = None,
-    *,
-    fold_case: bool = True,
-) -> str:
-    """Plain text with markers stripped and Problemese optionally obfuscated.
+def render(doc: AnnotatedDocument) -> str:
+    """Plain text with markers stripped.
 
     Name tags emit their replacement text, removed context collapses to a
-    single space, and Problemese spans go through the obfuscation engine
-    when a map is given.  Rendering with the identity map equals rendering
-    with no map at all.  A map drawn for another ruleset raises
-    ``MapMismatchError``, whether or not the document has Problemese.
+    single space, and escaped marker triples lose their backslash.
+    Obfuscated rendering is ``obfuscate.CompiledTexts``.
     """
-    from .obfuscate import _check_map, apply  # deferred: obfuscate imports this module
-
-    if pmap is not None:
-        if ruleset is None:
-            raise ValueError("a ruleset is required when a map is given")
-        _check_map(pmap, ruleset)
-
-    out = []
-    for seg in doc.segments:
-        if isinstance(seg, RemovedContext):
-            out.append(" ")
-        elif isinstance(seg, ProblemeseSpan) and pmap is not None:
-            out.append(apply(pmap, unescape(seg.text), ruleset, fold_case=fold_case))
-        else:
-            out.append(unescape(seg.text))
-    return "".join(out)
-
-
-@dataclass(frozen=True)
-class CoverageGap:
-    """A maximal run of Problemese the ruleset cannot segment."""
-
-    span_index: int  # index among the document's Problemese spans
-    offset: int  # codepoint offset inside the (unescaped) span text
-    text: str
-
-    def __str__(self) -> str:
-        return f"span {self.span_index} offset {self.offset}: {self.text!r}"
-
-
-def span_gaps(span_index: int, units: "Sequence[Unit]") -> list[CoverageGap]:
-    """Maximal uncovered runs in the segmentation of one Problemese span."""
-    from .obfuscate import is_passthrough_char
-
-    gaps: list[CoverageGap] = []
-    pos = 0
-    run: list[str] = []
-    for unit in units:
-        if unit.kind == "passthrough" and not is_passthrough_char(unit.text):
-            if not run:
-                run_start = pos
-            run.append(unit.text)
-        elif run:
-            gaps.append(CoverageGap(span_index, run_start, "".join(run)))
-            run = []
-        pos += len(unit.text)
-    if run:
-        gaps.append(CoverageGap(span_index, run_start, "".join(run)))
-    return gaps
-
-
-def coverage_report(
-    doc: AnnotatedDocument, ruleset: "Ruleset", *, fold_case: bool = True
-) -> list[CoverageGap]:
-    """Uncovered substrings inside Problemese spans.
-
-    Empty report == obfuscation of the document is total: every span
-    codepoint is consumed by an inventory grapheme, a fixed string, or a
-    passthrough character (whitespace, ASCII punctuation, digits).
-    """
-    from .obfuscate import segment
-
-    return [
-        gap
-        for idx, span in enumerate(doc.problemese_spans)
-        for gap in span_gaps(idx, segment(unescape(span.text), ruleset, fold_case=fold_case))
-    ]
+    return "".join(
+        " " if isinstance(seg, RemovedContext) else unescape(seg.text) for seg in doc.segments
+    )

@@ -30,7 +30,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from . import annotations
 from .obfuscate import CompiledTexts
@@ -236,18 +236,7 @@ def _load_problem(path: Path) -> Problem:
         ruleset=ruleset,
     )
 
-    gaps = []
-    for name, doc in _problem_documents(problem).items():
-        for gap in annotations.coverage_report(doc, ruleset):
-            gaps.append(f"{name}: {gap}")
-    for j, q in enumerate(problem.questions):
-        for sub in q.subquestions:
-            for raw in (sub.answer, *sub.alternates):
-                for gap in annotations.coverage_report(annotations.parse(raw), ruleset):
-                    gaps.append(f"q{j}.answer.{sub.key}: {gap}")
-    if gaps:
-        raise ValueError("coverage gaps: " + "; ".join(gaps))
-
+    _compile(problem, fold_case=True)
     return problem
 
 
@@ -258,6 +247,29 @@ def _problem_documents(problem: Problem) -> dict[str, annotations.AnnotatedDocum
         for sub in q.subquestions:
             docs[f"q{j}.sub.{sub.key}"] = sub.text
     return docs
+
+
+def _answer_names(j: int, sub: Subquestion) -> list[str]:
+    """Compiled names of a subquestion's answer, then of each alternate."""
+    return [f"q{j}.{sub.key}", *(f"alt{a}.q{j}.{sub.key}" for a in range(len(sub.alternates)))]
+
+
+def _compile(problem: Problem, *, fold_case: bool) -> CompiledTexts:
+    """Every text of a problem, segmented and checked for coverage once.
+
+    Documents are named as in :func:`_problem_documents` and answers as in
+    :func:`_answer_names`.  Raises ``obfuscate.CoverageError`` (a
+    ``ValueError``) on any Problemese the ruleset cannot segment.
+    """
+    answers = {
+        name: text
+        for j, q in enumerate(problem.questions)
+        for sub in q.subquestions
+        for name, text in zip(_answer_names(j, sub), (sub.answer, *sub.alternates))
+    }
+    return CompiledTexts(
+        _problem_documents(problem), answers, problem.ruleset, fold_case=fold_case
+    )
 
 
 def load_corpus(directory: str | Path) -> tuple[Corpus, LoadReport]:
@@ -393,23 +405,16 @@ def build_dataset(
     records: list[DatasetRecord] = []
     maps: dict[str, PermutationMap] = {}
     for problem in corpus.problems:
-        documents = _problem_documents(problem)
-        raw_answers = {}
-        raw_alternates: dict[str, tuple[str, ...]] = {}
-        for j, q in enumerate(problem.questions):
-            for sub in q.subquestions:
-                raw_answers[f"q{j}.{sub.key}"] = sub.answer
-                for a_idx, alt in enumerate(sub.alternates):
-                    raw_answers[f"alt{a_idx}.q{j}.{sub.key}"] = alt
-                raw_alternates[f"q{j}.{sub.key}"] = sub.alternates
-
-        compiled = CompiledTexts(documents, raw_answers, problem.ruleset, fold_case=fold_case)
+        compiled = _compile(problem, fold_case=fold_case)
         for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
             if p > 0:
                 maps[f"{problem.id}:p{p}"] = pmap
             rendered_docs, rendered_answers = compiled.render(pmap)
             for j, q in enumerate(problem.questions):
-                keys = [sub.key for sub in q.subquestions]
+                golds = {
+                    sub.key: [rendered_answers[name] for name in _answer_names(j, sub)]
+                    for sub in q.subquestions
+                }
                 records.append(
                     DatasetRecord(
                         problem_id=problem.id,
@@ -421,16 +426,10 @@ def build_dataset(
                         context=rendered_docs["context"],
                         body=rendered_docs[f"q{j}.body"],
                         subquestions=tuple(
-                            (key, rendered_docs[f"q{j}.sub.{key}"]) for key in keys
+                            (key, rendered_docs[f"q{j}.sub.{key}"]) for key in golds
                         ),
-                        answers={key: rendered_answers[f"q{j}.{key}"] for key in keys},
-                        alternates={
-                            key: tuple(
-                                rendered_answers[f"alt{a_idx}.q{j}.{key}"]
-                                for a_idx in range(len(raw_alternates[f"q{j}.{key}"]))
-                            )
-                            for key in keys
-                        },
+                        answers={key: texts[0] for key, texts in golds.items()},
+                        alternates={key: tuple(texts[1:]) for key, texts in golds.items()},
                     )
                 )
     return Dataset(
@@ -489,15 +488,36 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     return manifest
 
 
+_T = TypeVar("_T")
+
+
+def decode_lines(path: Path, lines: Sequence[str], decode: Callable[[str], _T]) -> list[_T]:
+    """``decode`` of every non-blank line of the JSON-lines file ``path``.
+
+    Callers split the file on LF only, never with ``str.splitlines``:
+    ``json.dumps(ensure_ascii=False)`` leaves U+2028 and the like raw inside
+    strings.  A line that does not decode raises ``ValueError`` naming the
+    file and the 1-based line.
+    """
+    decoded = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            decoded.append(decode(line))
+        except KeyError as exc:
+            raise ValueError(f"{path}: line {lineno}: record lacks field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return decoded
+
+
 def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    records = [
-        DatasetRecord.from_json(line)
-        for line in (path / "records.jsonl").read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    return records, manifest
+    records_path = path / "records.jsonl"
+    lines = records_path.read_text(encoding="utf-8").split("\n")
+    return decode_lines(records_path, lines, DatasetRecord.from_json), manifest
 
 
 # ---------------------------------------------------------------------------

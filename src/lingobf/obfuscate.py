@@ -8,21 +8,22 @@ substring of another ("h" inside "sh"): greedy longest-match resolves
 this the way the data was designed to be read.  Positions where nothing
 matches consume one character as passthrough; whitespace, ASCII
 punctuation and digits are legitimate passthrough, anything else is a
-coverage violation.  ``corpus.load_corpus`` reports violations (folding
-case) before any dataset is generated.
+coverage violation.
 
-Generation compiles each problem once: :class:`CompiledTexts` segments
-every Problemese span of the problem's documents and answers a single
-time, takes the coverage gaps from that same segmentation (under the
-build's own ``fold_case``) and refuses the problem on any gap.  Every
-variant is then rendered from the compiled form with dict lookups and
-``join``, so coverage is checked once per problem per build, not once
-per variant.
+:class:`CompiledTexts` is the one place that decides coverage: it
+segments every Problemese span of a problem's documents and answers a
+single time, takes the coverage gaps from that same segmentation and
+refuses the problem on any gap.  ``corpus.load_corpus`` compiles each
+problem this way (folding case) and ``corpus.build_dataset`` does again
+under the build's own ``fold_case``; every variant is then rendered from
+the compiled form with dict lookups and ``join``.
 
 Matching is case-folded by default and the replacement re-applies the
 original unit's casing pattern (initial capital -> capitalize the
 replacement's first codepoint; all-caps -> upper-case the replacement).
-Pass ``fold_case=False`` for codepoint-exact matching.
+A grapheme the map sends to itself keeps its source text, so the
+identity map reproduces the source exactly.  Pass ``fold_case=False`` for
+codepoint-exact matching.
 """
 
 from __future__ import annotations
@@ -106,8 +107,13 @@ def _recase(replacement: str, original: str) -> str:
 
 
 def _image(pairs: Mapping[str, str], unit: Unit, fold_case: bool) -> str:
-    """The text a grapheme unit renders to under a map: its image, recased."""
+    """The text a grapheme unit renders to under a map: its image, recased.
+
+    A grapheme the map sends to itself keeps its source text.
+    """
     image = pairs[unit.matched]
+    if image == unit.matched:
+        return unit.text
     return _recase(image, unit.text) if fold_case else image
 
 
@@ -131,15 +137,46 @@ def apply(
     )
 
 
+@dataclass(frozen=True)
+class CoverageGap:
+    """A maximal run of Problemese the ruleset cannot segment."""
+
+    span_index: int  # index among the document's Problemese spans
+    offset: int  # codepoint offset inside the (unescaped) span text
+    text: str
+
+    def __str__(self) -> str:
+        return f"span {self.span_index} offset {self.offset}: {self.text!r}"
+
+
+def span_gaps(span_index: int, units: list[Unit]) -> list[CoverageGap]:
+    """Maximal uncovered runs in the segmentation of one Problemese span."""
+    gaps: list[CoverageGap] = []
+    pos = 0
+    run: list[str] = []
+    for unit in units:
+        if unit.kind == "passthrough" and not is_passthrough_char(unit.text):
+            if not run:
+                run_start = pos
+            run.append(unit.text)
+        elif run:
+            gaps.append(CoverageGap(span_index, run_start, "".join(run)))
+            run = []
+        pos += len(unit.text)
+    if run:
+        gaps.append(CoverageGap(span_index, run_start, "".join(run)))
+    return gaps
+
+
 class CoverageError(ValueError):
     """A document or answer contains Problemese the ruleset cannot segment."""
 
-    def __init__(self, gaps: Mapping[str, list["annotations.CoverageGap"]]):
+    def __init__(self, gaps: Mapping[str, list[CoverageGap]]):
         self.gaps = dict(gaps)
         detail = "; ".join(
             f"{name}: {', '.join(str(g) for g in gap_list)}" for name, gap_list in self.gaps.items()
         )
-        super().__init__(f"uncovered Problemese text: {detail}")
+        super().__init__(f"coverage gaps: {detail}")
 
 
 class CompiledTexts:
@@ -170,7 +207,7 @@ class CompiledTexts:
         self.ruleset = ruleset
         self.fold_case = fold_case
         self._units: dict[Unit, int] = {}
-        gaps: dict[str, list[annotations.CoverageGap]] = {}
+        gaps: dict[str, list[CoverageGap]] = {}
         docs = {}
         for name, doc in documents.items():
             docs[name], found = self._compile(doc)
@@ -200,11 +237,11 @@ class CompiledTexts:
 
     def _compile(
         self, doc: annotations.AnnotatedDocument
-    ) -> tuple[list[int | str], list[annotations.CoverageGap]]:
+    ) -> tuple[list[int | str], list[CoverageGap]]:
         """Grapheme-unit slots and literal strings of one document, and its gaps."""
         pieces: list[int | str] = []
         literal: list[str] = []
-        gaps: list[annotations.CoverageGap] = []
+        gaps: list[CoverageGap] = []
         span_index = 0
         for seg in doc.segments:
             if isinstance(seg, annotations.RemovedContext):
@@ -215,7 +252,7 @@ class CompiledTexts:
                 literal.append(text)
                 continue
             units = segment(text, self.ruleset, fold_case=self.fold_case)
-            gaps.extend(annotations.span_gaps(span_index, units))
+            gaps.extend(span_gaps(span_index, units))
             span_index += 1
             for unit in units:
                 if unit.kind != "grapheme":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DatasetRecord
+from .corpus import DatasetRecord, decode_lines
 
 SYSTEM_MESSAGE = "You are a helpful assistant."
 
@@ -208,8 +208,6 @@ def write_prompts(prompts: Sequence[PromptInstance], path: str | Path) -> None:
 
 
 def load_prompts(path: str | Path) -> list[PromptInstance]:
-    return [
-        PromptInstance.from_json(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    path = Path(path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    return decode_lines(path, lines, PromptInstance.from_json)

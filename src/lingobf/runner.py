@@ -36,6 +36,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .corpus import decode_lines
 from .prompts import PromptInstance
 
 STATUS_OK = "ok"
@@ -198,11 +199,18 @@ def _embedded(raw: str, expected_keys: Sequence[str]) -> dict | None:
 
 
 def _key_pairs(raw: str, expected_keys: Sequence[str]) -> dict | None:
+    """Each expected ``"key": "string"`` pair found anywhere in the text.
+
+    A key whose captured value is not a valid JSON string is skipped.
+    """
     found: dict[str, str] = {}
     for key in expected_keys:
         m = re.search(r'"%s"\s*:\s*"((?:[^"\\]|\\.)*)"' % re.escape(key), raw)
         if m:
-            found[key] = json.loads(f'"{m.group(1)}"')
+            try:
+                found[key] = json.loads(f'"{m.group(1)}"')
+            except json.JSONDecodeError:
+                pass
     return found or None
 
 
@@ -279,18 +287,9 @@ def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
     records: dict[str, ResponseRecord] = {}
     if not path.is_file():
         return records
-    # Split on "\n" only: records may hold raw U+2028 and the like.  The
-    # last piece is "" after a final newline, else the torn tail.
+    # The last piece is "" after a final newline, else the torn tail.
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            record = ResponseRecord.from_json(line)
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: record lacks field {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for record in decode_lines(path, lines, ResponseRecord.from_json):
         records.setdefault(record.prompt_id, record)
     return records
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import string
 from pathlib import Path
 
 import pytest
 
+from lingobf import annotations
 from lingobf.corpus import Corpus, build_dataset, load_corpus
+from lingobf.obfuscate import segment
 from lingobf.rulesets import load_ruleset
 
 REPO = Path(__file__).resolve().parents[1]
@@ -41,3 +44,43 @@ def somali():
 @pytest.fixture(scope="session")
 def stodsde():
     return load_ruleset(FIXTURES / "rulesets" / "stodsde.json")
+
+
+def _reference_recase(replacement: str, original: str) -> str:
+    if not replacement or original == original.lower():
+        return replacement
+    if len(original) > 1 and original.isupper():
+        return replacement.upper()
+    if original[0].isupper():
+        return replacement[0].upper() + replacement[1:]
+    return replacement
+
+
+def reference_render(doc, pmap, ruleset, fold_case=True):
+    """Render one document span by span; None if any span has a coverage gap.
+
+    Independent of ``obfuscate.CompiledTexts``: each grapheme unit becomes
+    its image, recased under ``fold_case``; a unit the map sends to itself
+    keeps its source text.
+    """
+    out = []
+    for seg in doc.segments:
+        if isinstance(seg, annotations.RemovedContext):
+            out.append(" ")
+        elif isinstance(seg, annotations.ProblemeseSpan):
+            for unit in segment(annotations.unescape(seg.text), ruleset, fold_case=fold_case):
+                if unit.kind == "grapheme":
+                    image = pmap.pairs[unit.matched]
+                    if image == unit.matched:
+                        out.append(unit.text)
+                    else:
+                        out.append(_reference_recase(image, unit.text) if fold_case else image)
+                elif unit.kind == "passthrough" and not (
+                    unit.text.isspace() or unit.text.isdigit() or unit.text in string.punctuation
+                ):
+                    return None
+                else:
+                    out.append(unit.text)
+        else:
+            out.append(annotations.unescape(seg.text))
+    return "".join(out)

@@ -6,20 +6,19 @@ from hypothesis import strategies as st
 
 from lingobf.annotations import (
     AnnotatedDocument,
-    CoverageGap,
     MarkerError,
     NameTag,
     PlainText,
     ProblemeseSpan,
     RemovedContext,
-    coverage_report,
     escape_markers,
     parse,
     render,
     serialize,
     unescape,
 )
-from lingobf.rulesets import MapMismatchError, PermutationMap, Ruleset
+from lingobf.obfuscate import CompiledTexts, CoverageError, CoverageGap, obfuscate_variant
+from lingobf.rulesets import PermutationMap, Ruleset
 
 # Annotated extracts in the documented style: name tags, removed context,
 # a Problemese span, and a stripped grading-guideline line.
@@ -152,6 +151,8 @@ def test_parse_never_hangs_or_misroundtrips(text):
 # Rendering
 
 
+# Obfuscation (obfuscate_variant) agrees with the grammar's plain render.
+
 AE_RULESET = Ruleset(sets=(("a", "e"),), fixed=("k", "r"))
 AE_SWAP = PermutationMap(pairs={"a": "e", "e": "a"}, ruleset_id=AE_RULESET.ident)
 
@@ -159,7 +160,8 @@ AE_SWAP = PermutationMap(pairs={"a": "e", "e": "a"}, ruleset_id=AE_RULESET.ident
 def test_render_identity_strips_markers():
     doc = parse("@@@aker@@@ to steal")
     identity = PermutationMap.identity(AE_RULESET)
-    assert render(doc, identity, AE_RULESET) == "aker to steal"
+    assert render(doc) == "aker to steal"
+    assert obfuscate_variant({"d": doc}, {}, identity, AE_RULESET) == ({"d": "aker to steal"}, {})
 
 
 def test_render_removed_context_is_single_space():
@@ -169,28 +171,23 @@ def test_render_removed_context_is_single_space():
 
 def test_render_applies_map_to_problemese_only():
     doc = parse("@@@aker@@@ area")
-    assert render(doc, AE_SWAP, AE_RULESET) == "ekar area"
+    assert obfuscate_variant({"d": doc}, {}, AE_SWAP, AE_RULESET) == ({"d": "ekar area"}, {})
 
 
 def test_render_identity_equals_render_absent(corpus):
     for problem in corpus.problems:
         identity = PermutationMap.identity(problem.ruleset)
-        docs = [problem.preamble, problem.context]
-        for q in problem.questions:
-            docs.append(q.body)
-            docs.extend(s.text for s in q.subquestions)
-        for doc in docs:
-            assert render(doc, identity, problem.ruleset) == render(doc)
-
-
-def test_render_rejects_foreign_map_without_problemese():
-    with pytest.raises(MapMismatchError):
-        render(parse("no Problemese here"), AE_SWAP, Ruleset(sets=(("s", "h"),)))
-
-
-def test_render_requires_ruleset_with_map():
-    with pytest.raises(ValueError):
-        render(parse("@@@a@@@"), AE_SWAP, None)
+        docs = {"preamble": problem.preamble, "context": problem.context}
+        answers = {}
+        for j, q in enumerate(problem.questions):
+            docs[f"q{j}.body"] = q.body
+            for s in q.subquestions:
+                docs[f"q{j}.sub.{s.key}"] = s.text
+                answers[f"q{j}.{s.key}"] = s.answer
+        assert obfuscate_variant(docs, answers, identity, problem.ruleset) == (
+            {name: render(doc) for name, doc in docs.items()},
+            {key: render(parse(raw)) for key, raw in answers.items()},
+        )
 
 
 def test_unescape_and_escape_are_inverse():
@@ -200,29 +197,36 @@ def test_unescape_and_escape_are_inverse():
 
 
 # ---------------------------------------------------------------------------
-# Coverage
+# Coverage, as CompiledTexts decides it
 
 
 AKER_RULESET = Ruleset(sets=(("a", "k", "e", "r"),))
 
 
+def _gaps(text: str) -> list[CoverageGap]:
+    """The coverage gaps CompiledTexts finds in one annotated document."""
+    try:
+        CompiledTexts({"doc": parse(text)}, {}, AKER_RULESET)
+    except CoverageError as exc:
+        return exc.gaps["doc"]
+    return []
+
+
 def test_coverage_fully_covered():
-    assert coverage_report(parse("@@@aker@@@"), AKER_RULESET) == []
+    assert _gaps("@@@aker@@@") == []
 
 
 def test_coverage_passthrough_punctuation():
-    assert coverage_report(parse("@@@aker!@@@"), AKER_RULESET) == []
+    assert _gaps("@@@aker!@@@") == []
 
 
 def test_coverage_gap_reported_with_offset():
-    gaps = coverage_report(parse("@@@axer@@@"), AKER_RULESET)
-    assert gaps == [CoverageGap(span_index=0, offset=1, text="x")]
+    assert _gaps("@@@axer@@@") == [CoverageGap(span_index=0, offset=1, text="x")]
 
 
 def test_coverage_merges_adjacent_gaps():
-    gaps = coverage_report(parse("@@@axxer@@@"), AKER_RULESET)
-    assert gaps == [CoverageGap(span_index=0, offset=1, text="xx")]
+    assert _gaps("@@@axxer@@@") == [CoverageGap(span_index=0, offset=1, text="xx")]
 
 
 def test_coverage_ignores_plain_text():
-    assert coverage_report(parse("xyzzy @@@aker@@@"), AKER_RULESET) == []
+    assert _gaps("xyzzy @@@aker@@@") == []

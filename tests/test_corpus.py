@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import shutil
 
@@ -16,6 +17,8 @@ from lingobf.corpus import (
     variant_maps,
     write_dataset,
 )
+
+from .conftest import reference_render
 
 
 def test_fixture_corpus_loads_clean(corpus):
@@ -175,7 +178,7 @@ def test_different_seed_different_dataset(corpus):
 
 def test_same_map_consistency(corpus, dataset):
     """Re-rendering any stored answer with the variant's map reproduces it."""
-    from lingobf.annotations import parse, render
+    from lingobf.annotations import parse
 
     problems = {p.id: p for p in corpus.problems}
     for record in dataset:
@@ -185,7 +188,8 @@ def test_same_map_consistency(corpus, dataset):
         pmap = dataset.maps[record.variant_id]
         assert pmap == variant_maps(problem, 6, seed=7)[record.p]
         for sub in problem.questions[record.question_index].subquestions:
-            assert render(parse(sub.answer), pmap, problem.ruleset) == record.answers[sub.key]
+            rendered = reference_render(parse(sub.answer), pmap, problem.ruleset)
+            assert rendered == record.answers[sub.key]
 
 
 def test_no_leakage_in_prompt_facing_fields(corpus, dataset):
@@ -214,6 +218,30 @@ def test_dataset_round_trip(tmp_path, corpus, dataset):
     assert manifest_again == manifest
     assert manifest["pairs"] == 48
     assert set(manifest["digests"]) == {r.variant_id for r in dataset}
+
+
+def test_load_dataset_keeps_unicode_line_separators(tmp_path, dataset):
+    first = dataset.records[0]
+    key = first.expected_keys[0]
+    first = dataclasses.replace(first, answers={**first.answers, key: "a\u2028b\u0085c"})
+    write_dataset(dataclasses.replace(dataset, records=(first, *dataset.records[1:])), tmp_path)
+    loaded, _ = load_dataset(tmp_path)
+    assert len(loaded) == len(dataset)
+    assert loaded[0].answers[key] == "a\u2028b\u0085c"
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [("{garbage", "line 2: Expecting"), ('{"p": 0}', "line 2: record lacks field 'problem_id'")],
+)
+def test_load_dataset_names_a_bad_line(tmp_path, dataset, bad, error):
+    write_dataset(dataset, tmp_path)
+    path = tmp_path / "records.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = bad
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"records.jsonl: {error}"):
+        load_dataset(tmp_path)
 
 
 def test_manifest_maps_rederive_variants(tmp_path, corpus, dataset):

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import string
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,6 +20,8 @@ from lingobf.rulesets import (
     invert,
     sample_permutation,
 )
+
+from .conftest import reference_render
 
 SH_RULESET = Ruleset(sets=(("s", "h", "a", "sh"),))
 NAME_RULESET = Ruleset(fixed=("Kazune",), sets=(("a", "z", "e", "l"),))
@@ -243,40 +243,19 @@ def test_variant_rejects_foreign_map():
         obfuscate_variant({}, {"q0.1": "42"}, AE_SWAP, SH_RULESET)
 
 
+def test_identity_keeps_source_text():
+    # Identity rendering re-applies no casing pattern: the source survives as is.
+    rs = Ruleset(sets=(("ab", "c"),))
+    identity = PermutationMap.identity(rs)
+    assert apply(identity, "aBc", rs) == "aBc"
+    sharp = Ruleset(sets=(("ß", "a"),))
+    assert apply(PermutationMap.identity(sharp), "ẞa", sharp) == "ẞa"
+    _, answers = obfuscate_variant({}, {"1": "@@@aBc@@@"}, identity, rs)
+    assert answers == {"1": "aBc"}
+
+
 # ---------------------------------------------------------------------------
 # The compiled render agrees with a per-span reference renderer
-
-
-def _reference_recase(replacement: str, original: str) -> str:
-    if not replacement or original == original.lower():
-        return replacement
-    if len(original) > 1 and original.isupper():
-        return replacement.upper()
-    if original[0].isupper():
-        return replacement[0].upper() + replacement[1:]
-    return replacement
-
-
-def _reference_render(doc, pmap, ruleset, fold_case):
-    """Render one document span by span; None if any span has a coverage gap."""
-    out = []
-    for seg in doc.segments:
-        if isinstance(seg, annotations.RemovedContext):
-            out.append(" ")
-        elif isinstance(seg, annotations.ProblemeseSpan):
-            for unit in segment(annotations.unescape(seg.text), ruleset, fold_case=fold_case):
-                if unit.kind == "grapheme":
-                    image = pmap.pairs[unit.matched]
-                    out.append(_reference_recase(image, unit.text) if fold_case else image)
-                elif unit.kind == "passthrough" and not (
-                    unit.text.isspace() or unit.text.isdigit() or unit.text in string.punctuation
-                ):
-                    return None
-                else:
-                    out.append(unit.text)
-        else:
-            out.append(annotations.unescape(seg.text))
-    return "".join(out)
 
 
 GRAPHEME_POOL = ("a", "e", "i", "o", "u", "p", "t", "k", "s", "h", "sh", "ch", "ng", "é", "ʼ")
@@ -306,12 +285,14 @@ def rulesets_and_maps(draw):
 
 
 def _cased(draw, text: str) -> str:
-    style = draw(st.sampled_from(("lower", "upper", "title", "mixed")))
+    style = draw(st.sampled_from(("lower", "upper", "title", "mixed", "random")))
     if style == "upper":
         return text.upper()
     if style == "title":
         return text[:1].upper() + text[1:]
-    if style == "mixed":
+    if style == "mixed":  # neither initial nor all caps, e.g. "sH"
+        return text[:1] + text[1:].upper()
+    if style == "random":
         flips = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
         return "".join(c.upper() if flip else c for c, flip in zip(text, flips))
     return text
@@ -353,15 +334,22 @@ def test_compiled_render_matches_per_span_reference(data, fold_case):
     }
     answers = {f"a{i}": data.draw(annotated_texts(ruleset)) for i in range(2)}
     expected_docs = {
-        name: _reference_render(doc, pmap, ruleset, fold_case) for name, doc in documents.items()
+        name: reference_render(doc, pmap, ruleset, fold_case) for name, doc in documents.items()
     }
     expected_answers = {
-        key: _reference_render(annotations.parse(raw), pmap, ruleset, fold_case)
+        key: reference_render(annotations.parse(raw), pmap, ruleset, fold_case)
         for key, raw in answers.items()
     }
     uncovered = {name for name, text in expected_docs.items() if text is None} | {
         f"answer:{key}" for key, text in expected_answers.items() if text is None
     }
+    if pmap.is_identity:
+        # The identity map reproduces every covered text as the grammar renders it.
+        texts = {**documents, **{f"answer:{k}": annotations.parse(raw) for k, raw in answers.items()}}
+        for name, doc in texts.items():
+            if name not in uncovered:
+                rendered, _ = obfuscate_variant({name: doc}, {}, pmap, ruleset, fold_case=fold_case)
+                assert rendered == {name: annotations.render(doc)}
     if uncovered:
         with pytest.raises(CoverageError) as exc:
             obfuscate_variant(documents, answers, pmap, ruleset, fold_case=fold_case)

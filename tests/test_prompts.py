@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import json
 
@@ -122,6 +123,23 @@ def test_prompt_export_round_trip(dataset, tmp_path):
     write_prompts(prompts, tmp_path / "prompts.jsonl")
     again = load_prompts(tmp_path / "prompts.jsonl")
     assert again == prompts
+
+
+def test_prompt_export_keeps_unicode_line_separators(dataset, tmp_path):
+    prompts = build_prompts(dataset)[:3]
+    prompts[1] = dataclasses.replace(prompts[1], user_message="a\u2028b\u2029c")
+    write_prompts(prompts, tmp_path / "prompts.jsonl")
+    assert load_prompts(tmp_path / "prompts.jsonl") == prompts
+
+
+def test_load_prompts_names_a_bad_line(dataset, tmp_path):
+    write_prompts(build_prompts(dataset)[:3], tmp_path / "prompts.jsonl")
+    path = tmp_path / "prompts.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[1] = "{garbage"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=r"prompts\.jsonl: line 2: "):
+        load_prompts(path)
 
 
 def test_obfuscated_prompt_keeps_solverese(variants):

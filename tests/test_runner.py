@@ -4,7 +4,7 @@ import json
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingobf.mockserver import MockModelServer
@@ -73,6 +73,13 @@ def test_key_regex_fallback():
     assert parse_response(raw, ["1", "2"]) == ({"1": "abc", "2": 'd"e'}, STATUS_OK)
 
 
+def test_key_pairs_skips_invalid_string_values():
+    # "\q" is not a JSON escape, so rungs 1-3 refuse the reply and rung 4 skips the key.
+    assert parse_response('answer "1": "\\q" end', ["1"]) == (None, STATUS_BAD_PARSING)
+    raw = 'answer "1": "\\q", "2": "ok"'
+    assert parse_response(raw, ["1", "2"]) == ({"2": "ok"}, STATUS_OK)
+
+
 def test_prose_is_bad_parsing():
     parsed, status = parse_response("The answer is probably...", ["1"])
     assert (parsed, status) == (None, STATUS_BAD_PARSING)
@@ -119,6 +126,7 @@ def test_ladder_monotonicity(raw, first_step):
 
 
 @given(st.text(max_size=200))
+@example('answer "1": "\\q" end')
 def test_parse_response_never_raises(raw):
     parsed, status = parse_response(raw, ["1", "2"])
     assert status in {STATUS_OK, STATUS_EMPTY, STATUS_BAD_PARSING}
