@@ -341,8 +341,7 @@ class DatasetRecord:
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "DatasetRecord":
-        d = json.loads(line)
+    def from_dict(cls, d: dict) -> "DatasetRecord":
         return cls(
             problem_id=d["problem_id"],
             p=d["p"],
@@ -491,20 +490,23 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
 _T = TypeVar("_T")
 
 
-def decode_lines(path: Path, lines: Sequence[str], decode: Callable[[str], _T]) -> list[_T]:
-    """``decode`` of every non-blank line of the JSON-lines file ``path``.
+def decode_lines(path: Path, lines: Sequence[str], decode: Callable[[dict], _T]) -> list[_T]:
+    """``decode`` of the JSON object on every non-blank line of the JSON-lines file ``path``.
 
     Callers split the file on LF only, never with ``str.splitlines``:
     ``json.dumps(ensure_ascii=False)`` leaves U+2028 and the like raw inside
-    strings.  A line that does not decode raises ``ValueError`` naming the
-    file and the 1-based line.
+    strings.  A line that is not a JSON object or does not decode raises
+    ``ValueError`` naming the file and the 1-based line.
     """
     decoded = []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            decoded.append(decode(line))
+            d = json.loads(line)
+            if not isinstance(d, dict):
+                raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
+            decoded.append(decode(d))
         except KeyError as exc:
             raise ValueError(f"{path}: line {lineno}: record lacks field {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -517,7 +519,7 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
     records_path = path / "records.jsonl"
     lines = records_path.read_text(encoding="utf-8").split("\n")
-    return decode_lines(records_path, lines, DatasetRecord.from_json), manifest
+    return decode_lines(records_path, lines, DatasetRecord.from_dict), manifest
 
 
 # ---------------------------------------------------------------------------

@@ -422,20 +422,17 @@ def per_problem_csv(report: MetricsReport) -> str:
 def heatmap_csv(reports: Mapping[str, MetricsReport]) -> str:
     """problems x models matrix of per-problem obfuscation deltas."""
     models = sorted(reports)
-    problem_ids: list[str] = []
-    for report in reports.values():
-        for pm in report.per_problem:
-            if pm.problem_id not in problem_ids:
-                problem_ids.append(pm.problem_id)
+    deltas: dict[str, dict[str, float | None]] = {model: {} for model in models}
+    for model in models:
+        for pm in reports[model].per_problem:
+            deltas[model].setdefault(pm.problem_id, pm.delta)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["problem_id", *models])
-    for pid in sorted(problem_ids):
+    for pid in sorted({pid for by_problem in deltas.values() for pid in by_problem}):
         row: list[str] = [pid]
         for model in models:
-            pm = next(
-                (x for x in reports[model].per_problem if x.problem_id == pid), None
-            )
-            row.append("" if pm is None or pm.delta is None else repr(pm.delta))
+            delta = deltas[model].get(pid)
+            row.append("" if delta is None else repr(delta))
         writer.writerow(row)
     return buf.getvalue()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from . import annotations
@@ -57,22 +56,9 @@ class Unit:
     matched: str | None = None
 
 
-@lru_cache(maxsize=64)
-def _matcher(ruleset: Ruleset, fold_case: bool) -> tuple[tuple[int, ...], dict, dict]:
-    """Per-ruleset lookup tables: candidate lengths (desc) and fold->canonical maps."""
-    fixed = {}
-    graphemes = {}
-    for g in ruleset.fixed:
-        fixed[g.lower() if fold_case else g] = g
-    for g in ruleset.inventory:
-        graphemes.setdefault(g.lower() if fold_case else g, g)
-    lengths = sorted({len(k) for k in (*fixed, *graphemes)}, reverse=True)
-    return tuple(lengths), fixed, graphemes
-
-
 def segment(text: str, ruleset: Ruleset, *, fold_case: bool = True) -> list[Unit]:
     """Total greedy segmentation: unit texts concatenate back to ``text``."""
-    lengths, fixed, graphemes = _matcher(ruleset, fold_case)
+    lengths, fixed, graphemes = ruleset.matchers[fold_case]
     units: list[Unit] = []
     i = 0
     n = len(text)

@@ -100,8 +100,7 @@ class PromptInstance:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "PromptInstance":
-        d = json.loads(line)
+    def from_dict(cls, d: dict) -> "PromptInstance":
         return cls(
             prompt_id=d["prompt_id"],
             variant_id=d["variant_id"],
@@ -210,4 +209,4 @@ def write_prompts(prompts: Sequence[PromptInstance], path: str | Path) -> None:
 def load_prompts(path: str | Path) -> list[PromptInstance]:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").split("\n")
-    return decode_lines(path, lines, PromptInstance.from_json)
+    return decode_lines(path, lines, PromptInstance.from_dict)

@@ -14,6 +14,12 @@ kinds, each constraining how its members may be permuted:
 * ``fixed``       -- graphemes and whole protected strings (names,
                      loanwords) every valid permutation leaves unchanged.
 
+A table is checked, counted and sampled as a free table whose cells each
+hold one grapheme: a bijection of a one-grapheme cell is the identity and
+shuffling it draws nothing, so both kinds share one code path and only
+their JSON form and substream label differ.  A column with no rows is
+refused in both.
+
 Counting and sampling deliberately differ.  :func:`count_permutations`
 counts *all* structure-preserving bijections, identity included, which is
 the arithmetic behind the documented worked examples (a 3-column table
@@ -34,7 +40,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .rng import SplitMix64, derive_seed, stream
+from .rng import SplitMix64, derive_seed, shuffled, stream
 
 SCHEMA_VERSION = 1
 
@@ -84,14 +90,9 @@ class Ruleset:
     @property
     def inventory(self) -> tuple[str, ...]:
         """All permutable graphemes, in declaration order."""
-        out: list[str] = []
-        for s in self.sets:
-            out.extend(s)
-        for t in self.tables:
-            for col in t.columns:
-                out.extend(col)
-        for ft in self.free_tables:
-            for col in ft.columns:
+        out = [g for s in self.sets for g in s]
+        for _, _, columns in _column_groups(self):
+            for col in columns:
                 for cell in col:
                     out.extend(cell)
         return tuple(out)
@@ -105,6 +106,35 @@ class Ruleset:
         """
         payload = json.dumps(ruleset_to_dict(self), ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    @cached_property
+    def matchers(self) -> dict[bool, tuple[tuple[int, ...], dict[str, str], dict[str, str]]]:
+        """Lookup tables of ``obfuscate.segment``, keyed by ``fold_case``.
+
+        Each holds the candidate match lengths (longest first) and the fixed
+        and inventory keys (lower-cased when folding) mapped to canonical text.
+        """
+        out = {}
+        for fold_case in (False, True):
+            fixed = {g.lower() if fold_case else g: g for g in self.fixed}
+            graphemes: dict[str, str] = {}
+            for g in self.inventory:
+                graphemes.setdefault(g.lower() if fold_case else g, g)
+            lengths = sorted({len(k) for k in (*fixed, *graphemes)}, reverse=True)
+            out[fold_case] = (tuple(lengths), fixed, graphemes)
+        return out
+
+
+def _column_groups(ruleset: Ruleset) -> Iterator[tuple[str, int, tuple]]:
+    """(kind, index, columns of cells) of every table, then every free table.
+
+    A table column becomes a column of one-grapheme cells (``zip`` of one
+    sequence yields 1-tuples).
+    """
+    for i, t in enumerate(ruleset.tables):
+        yield "table", i, tuple(tuple(zip(col)) for col in t.columns)
+    for i, ft in enumerate(ruleset.free_tables):
+        yield "free_table", i, ft.columns
 
 
 @dataclass(frozen=True)
@@ -208,73 +238,29 @@ def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
         for g in s:
             claim(g, "set", i)
 
-    for i, t in enumerate(ruleset.tables):
-        if len(t.columns) < 2:
-            issues.append(
-                ValidationIssue(
-                    "table_too_narrow",
-                    "table",
-                    i,
-                    None,
-                    f"table with {len(t.columns)} column(s) cannot be deranged",
-                )
-            )
-        lengths = {len(col) for col in t.columns}
+    for kind, i, columns in _column_groups(ruleset):
+        shape: list[tuple[str, str]] = []  # (code, message)
+        if len(columns) < 2:
+            noun = kind.replace("_", "-")
+            message = f"{noun} with {len(columns)} column(s) cannot be deranged"
+            shape.append(("table_too_narrow", message))
+        lengths = {len(col) for col in columns}
         if len(lengths) > 1:
-            issues.append(
-                ValidationIssue(
-                    "ragged_table", "table", i, None, f"column lengths differ: {sorted(lengths)}"
-                )
-            )
+            shape.append(("ragged_table", f"column lengths differ: {sorted(lengths)}"))
         if 0 in lengths:
-            issues.append(ValidationIssue("empty_column", "table", i, None, "empty column"))
-        for col in t.columns:
-            for g in col:
-                claim(g, "table", i)
-
-    for i, ft in enumerate(ruleset.free_tables):
-        if len(ft.columns) < 2:
-            issues.append(
-                ValidationIssue(
-                    "table_too_narrow",
-                    "free_table",
-                    i,
-                    None,
-                    f"free-table with {len(ft.columns)} column(s) cannot be deranged",
-                )
-            )
-        row_counts = {len(col) for col in ft.columns}
-        if len(row_counts) > 1:
-            issues.append(
-                ValidationIssue(
-                    "ragged_table",
-                    "free_table",
-                    i,
-                    None,
-                    f"row counts differ across columns: {sorted(row_counts)}",
-                )
-            )
-        elif ft.columns:
-            for row in range(len(ft.columns[0])):
-                sizes = {len(col[row]) for col in ft.columns}
+            shape.append(("empty_column", "empty column"))
+        if len(lengths) == 1:
+            for row in range(len(columns[0])):
+                sizes = {len(col[row]) for col in columns}
                 if len(sizes) > 1:
-                    issues.append(
-                        ValidationIssue(
-                            "ragged_cells",
-                            "free_table",
-                            i,
-                            None,
-                            f"row {row} cell sizes differ: {sorted(sizes)}",
-                        )
-                    )
+                    shape.append(("ragged_cells", f"row {row} cell sizes differ: {sorted(sizes)}"))
                 if 0 in sizes:
-                    issues.append(
-                        ValidationIssue("empty_cell", "free_table", i, None, f"row {row} has an empty cell")
-                    )
-        for col in ft.columns:
+                    shape.append(("empty_cell", f"row {row} has an empty cell"))
+        issues.extend(ValidationIssue(code, kind, i, None, message) for code, message in shape)
+        for col in columns:
             for cell in col:
                 for g in cell:
-                    claim(g, "free_table", i)
+                    claim(g, kind, i)
 
     return issues
 
@@ -292,8 +278,8 @@ def _require_valid(ruleset: Ruleset) -> None:
 def count_permutations(ruleset: Ruleset) -> int:
     """Number of structure-preserving bijections, identity included.
 
-    sets contribute |S|!, tables (#columns)!, free-tables
-    (#columns)! * prod over source cells |cell|!.
+    sets contribute |S|!, tables and free-tables
+    (#columns)! * prod over source cells |cell|! (1 for a table's cells).
     """
     _require_valid(ruleset)
     return _count(ruleset, cycles=False)
@@ -315,11 +301,9 @@ def _count(ruleset: Ruleset, *, cycles: bool) -> int:
     total = 1
     for s in ruleset.sets:
         total *= math.factorial(len(s) - shift)
-    for t in ruleset.tables:
-        total *= math.factorial(len(t.columns) - shift)
-    for ft in ruleset.free_tables:
-        total *= math.factorial(len(ft.columns) - shift)
-        for col in ft.columns:
+    for _, _, columns in _column_groups(ruleset):
+        total *= math.factorial(len(columns) - shift)
+        for col in columns:
             for cell in col:
                 total *= math.factorial(len(cell))
     return total
@@ -352,20 +336,11 @@ def _sample(ruleset: Ruleset, seed: int) -> PermutationMap:
         rng = stream(seed, "set", idx)
         pairs.update(rng.cycle(s))
 
-    for idx, t in enumerate(ruleset.tables):
-        rng = stream(seed, "table", idx)
-        for src_col, img_col in _column_cycle(rng, t.columns):
-            for row, g in enumerate(src_col):
-                pairs[g] = img_col[row]
-
-    for idx, ft in enumerate(ruleset.free_tables):
-        rng = stream(seed, "free_table", idx)
-        for src_col, img_col in _column_cycle(rng, ft.columns):
-            for row, cell in enumerate(src_col):
-                images = list(img_col[row])
-                rng.shuffle(images)
-                for g, img in zip(cell, images):
-                    pairs[g] = img
+    for kind, idx, columns in _column_groups(ruleset):
+        rng = stream(seed, kind, idx)
+        for src_col, img_col in _column_cycle(rng, columns):
+            for cell, img_cell in zip(src_col, img_col):
+                pairs.update(zip(cell, shuffled(rng, img_cell)))
 
     return PermutationMap(pairs=pairs, ruleset_id=ruleset.ident, seed=seed)
 
@@ -417,8 +392,12 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
 
     Checks bijectivity over the inventory, structure preservation for
     every collection, identity on the fixed set, and (for sampled maps)
-    the absence of fixed points outside the fixed set.
+    the absence of fixed points outside the fixed set.  An invalid ruleset
+    admits no map; its validation issues are reported instead.
     """
+    invalid = validate_ruleset(ruleset)
+    if invalid:
+        return [f"invalid ruleset: {issue}" for issue in invalid]
     problems: list[str] = []
     inventory = set(ruleset.inventory)
     domain = set(pmap.pairs.keys())
@@ -435,31 +414,20 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
         if {pmap(g) for g in s} != set(s):
             problems.append(f"set[{i}] is not closed under the map")
 
-    for i, t in enumerate(ruleset.tables):
-        cols = [tuple(col) for col in t.columns]
-        for c, col in enumerate(cols):
-            image = tuple(pmap(g) for g in col)
-            if image not in cols:
-                problems.append(f"table[{i}] column {c} does not map wholesale to a column")
-
-    for i, ft in enumerate(ruleset.free_tables):
+    for kind, i, columns in _column_groups(ruleset):
         # Image of each cell must be exactly the same-row cell of a single
         # column, identical across all rows of the source column.
-        for c, col in enumerate(ft.columns):
+        for c, col in enumerate(columns):
             targets = set()
             for row, cell in enumerate(col):
                 image = {pmap(g) for g in cell}
-                matches = [
-                    tc
-                    for tc, other in enumerate(ft.columns)
-                    if set(other[row]) == image
-                ]
+                matches = [tc for tc, other in enumerate(columns) if set(other[row]) == image]
                 if not matches:
-                    problems.append(f"free_table[{i}] column {c} row {row} cell image is not a cell")
+                    problems.append(f"{kind}[{i}] column {c} row {row} cell image is not a cell")
                 else:
                     targets.add(matches[0])
             if len(targets) > 1:
-                problems.append(f"free_table[{i}] column {c} rows map to different columns")
+                problems.append(f"{kind}[{i}] column {c} rows map to different columns")
 
     if sampled:
         for g, img in pmap.pairs.items():

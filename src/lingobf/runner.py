@@ -260,10 +260,7 @@ class ResponseRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "ResponseRecord":
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
+    def from_dict(cls, d: dict) -> "ResponseRecord":
         return cls(
             prompt_id=d["prompt_id"],
             status=d["status"],
@@ -289,7 +286,7 @@ def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
         return records
     # The last piece is "" after a final newline, else the torn tail.
     lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    for record in decode_lines(path, lines, ResponseRecord.from_json):
+    for record in decode_lines(path, lines, ResponseRecord.from_dict):
         records.setdefault(record.prompt_id, record)
     return records
 

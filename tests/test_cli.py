@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -85,6 +86,15 @@ def test_generate_is_deterministic(capsys, corpus_dir, tmp_path):
     manifest_a = json.loads((tmp_path / "a" / "manifest.json").read_text())
     manifest_b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert manifest_a["digests"] == manifest_b["digests"]
+
+
+def test_generate_fixture_records_are_pinned(capsys, corpus_dir, tmp_path):
+    # The fixtures hold one table (voicing-y) and one free table (rivers-z).
+    argv = ("generate", str(corpus_dir), "--out", str(tmp_path), "--per-problem", "6", "--seed", "7")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest()
+    assert digest == "36eaf68ccb4786539af3ce19485cb684b7539282d08d86b9a3816a4286c7d59f"
 
 
 def test_full_pipeline_through_cli(capsys, corpus_dir, tmp_path):

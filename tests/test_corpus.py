@@ -232,7 +232,11 @@ def test_load_dataset_keeps_unicode_line_separators(tmp_path, dataset):
 
 @pytest.mark.parametrize(
     "bad, error",
-    [("{garbage", "line 2: Expecting"), ('{"p": 0}', "line 2: record lacks field 'problem_id'")],
+    [
+        ("{garbage", "line 2: Expecting"),
+        ('{"p": 0}', "line 2: record lacks field 'problem_id'"),
+        ('"x"', "line 2: record is a JSON str, not an object"),
+    ],
 )
 def test_load_dataset_names_a_bad_line(tmp_path, dataset, bad, error):
     write_dataset(dataset, tmp_path)

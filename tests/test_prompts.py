@@ -142,6 +142,15 @@ def test_load_prompts_names_a_bad_line(dataset, tmp_path):
         load_prompts(path)
 
 
+def test_load_prompts_rejects_a_non_object_line(dataset, tmp_path):
+    path = tmp_path / "prompts.jsonl"
+    write_prompts(build_prompts(dataset)[:1], path)
+    path.write_text(path.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
+    error = r"prompts\.jsonl: line 2: record is a JSON list, not an object"
+    with pytest.raises(ValueError, match=error):
+        load_prompts(path)
+
+
 def test_obfuscated_prompt_keeps_solverese(variants):
     original = build_prompt(variants["voicing-y:p0"], 0).user_message
     obfuscated = build_prompt(variants["voicing-y:p1"], 0).user_message

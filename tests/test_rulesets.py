@@ -19,11 +19,13 @@ from lingobf.rulesets import (
     count_cycle_permutations,
     count_permutations,
     invert,
+    load_ruleset,
     map_issues,
     ruleset_from_dict,
     ruleset_to_dict,
     sample_distinct,
     sample_permutation,
+    save_ruleset,
     validate_ruleset,
 )
 
@@ -75,6 +77,24 @@ def test_ragged_free_table_cells_rejected():
         free_tables=(FreeTable(columns=((("m",), ("p", "b")), (("n",), ("t",)))),)
     )
     assert any(i.code == "ragged_cells" for i in validate_ruleset(rs))
+
+
+def test_ragged_free_table_rejected():
+    rs = Ruleset(free_tables=(FreeTable(columns=((("m",), ("p",)), (("n",),))),))
+    assert [(i.code, i.collection, i.message) for i in validate_ruleset(rs)] == [
+        ("ragged_table", "free_table", "column lengths differ: [1, 2]")
+    ]
+
+
+@pytest.mark.parametrize(
+    "rs",
+    [
+        Ruleset(tables=(Table(columns=((), ())),)),
+        Ruleset(free_tables=(FreeTable(columns=((), ())),)),
+    ],
+)
+def test_empty_column_rejected(rs):
+    assert [i.code for i in validate_ruleset(rs)] == ["empty_column"]
 
 
 def test_marker_characters_rejected():
@@ -185,6 +205,15 @@ def test_free_table_sampling_structure():
         assert map_issues(NASAL_FREE_TABLE, pm) == []
 
 
+def test_sampled_maps_are_pinned_per_seed():
+    # A table samples as a free table of one-grapheme cells: same draws per seed.
+    def images_of_p(rs):
+        return "".join(sample_permutation(rs, seed).pairs["p"] for seed in range(8))
+
+    assert images_of_p(PLOSIVE_TABLE) == "ttkkttkt"
+    assert images_of_p(NASAL_FREE_TABLE) == "ttdtttdd"
+
+
 def test_sampled_maps_satisfy_invariants(somali, stodsde):
     for rs in (somali, stodsde):
         for seed in range(50):
@@ -270,6 +299,37 @@ def test_map_issues_flags_violations():
     assert any("column" in issue for issue in map_issues(PLOSIVE_TABLE, broken))
 
 
+def test_map_issues_names_the_cell_of_a_broken_table():
+    broken = PermutationMap(
+        pairs={"p": "t", "b": "d", "t": "p", "d": "g", "k": "k", "g": "b"},
+        ruleset_id=PLOSIVE_TABLE.ident,
+    )
+    assert map_issues(PLOSIVE_TABLE, broken, sampled=False) == [
+        "table[0] column 1 rows map to different columns",
+        "table[0] column 2 rows map to different columns",
+    ]
+    row_swap = PermutationMap(
+        pairs={"p": "b", "b": "p", "t": "t", "d": "d", "k": "k", "g": "g"},
+        ruleset_id=PLOSIVE_TABLE.ident,
+    )
+    assert map_issues(PLOSIVE_TABLE, row_swap, sampled=False) == [
+        "table[0] column 0 row 0 cell image is not a cell",
+        "table[0] column 0 row 1 cell image is not a cell",
+    ]
+
+
+@pytest.mark.parametrize(
+    "rs",
+    [
+        Ruleset(tables=(Table(columns=(("p", "b"), ("t",))),)),
+        Ruleset(free_tables=(FreeTable(columns=((("p",), ("b",)), (("t",),))),)),
+    ],
+)
+def test_map_issues_reports_an_invalid_ruleset(rs):
+    pm = PermutationMap(pairs={"p": "t", "t": "p", "b": "b"}, ruleset_id=rs.ident)
+    assert map_issues(rs, pm) == [f"invalid ruleset: {issue}" for issue in validate_ruleset(rs)]
+
+
 # ---------------------------------------------------------------------------
 # Identity
 
@@ -298,6 +358,16 @@ def test_json_round_trip(somali, stodsde):
         assert again == Ruleset(
             fixed=rs.fixed, sets=rs.sets, tables=rs.tables, free_tables=rs.free_tables
         )
+
+
+def test_save_load_round_trip_keeps_tables_and_free_tables_apart(tmp_path):
+    table = Table(columns=(("p", "b"), ("t", "d")))
+    singletons = FreeTable(columns=((("m",), ("f",)), (("n",), ("s",))))
+    rs = Ruleset(fixed=("x",), tables=(table,), free_tables=(singletons,))
+    save_ruleset(rs, tmp_path / "mixed.json")
+    again = load_ruleset(tmp_path / "mixed.json")
+    assert again.tables == (table,) and again.free_tables == (singletons,)
+    assert again == rs and again.ident == rs.ident and again.name == "mixed"
 
 
 def test_free_table_cells_accept_bare_strings():
