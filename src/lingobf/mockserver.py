@@ -4,8 +4,10 @@ Serves a chat-completion-shaped API on localhost: POST bodies with
 ``messages`` come in, ``{"choices": [{"message": {"content": ...}}]}``
 goes out.  The reply is produced by a caller-supplied function of
 (system, user), so tests can script planted empty/garbage responses or
-fault injection without any network.  :func:`knowledge_reply` is the
-scripted knowledge-lookup model shared by the tests and the demo.
+fault injection without any network: a ``(status, text)`` reply is sent
+as-is with that HTTP status instead of a chat-completion envelope.
+:func:`knowledge_reply` is the scripted knowledge-lookup model shared by
+the tests and the demo.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Iterable
 from . import annotations
 from .corpus import Corpus, DatasetRecord, _problem_documents
 
-ReplyFn = Callable[[str, str], str]
+ReplyFn = Callable[[str, str], str | tuple[int, str]]
 
 _WORD = re.compile(r"[^\W\d_]+")
 
@@ -85,14 +87,19 @@ class MockModelServer:
                     elif message.get("role") == "user":
                         user = message.get("content", "")
                 reply = reply_fn(system, user)
-                envelope = json.dumps(
-                    {"choices": [{"message": {"content": reply}}]}, ensure_ascii=False
-                ).encode("utf-8")
-                self.send_response(200)
+                if isinstance(reply, tuple):
+                    status, text = reply
+                else:
+                    status = 200
+                    text = json.dumps(
+                        {"choices": [{"message": {"content": reply}}]}, ensure_ascii=False
+                    )
+                payload = text.encode("utf-8")
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(envelope)))
+                self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
-                self.wfile.write(envelope)
+                self.wfile.write(payload)
 
             def log_message(self, *args):  # silence request logging
                 pass

@@ -91,7 +91,7 @@ class Ruleset:
     def inventory(self) -> tuple[str, ...]:
         """All permutable graphemes, in declaration order."""
         out = [g for s in self.sets for g in s]
-        for _, _, columns in _column_groups(self):
+        for _, _, columns in self.column_groups:
             for col in columns:
                 for cell in col:
                     out.extend(cell)
@@ -106,6 +106,20 @@ class Ruleset:
         """
         payload = json.dumps(ruleset_to_dict(self), ensure_ascii=False, sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    @cached_property
+    def column_groups(self) -> tuple[tuple[str, int, tuple], ...]:
+        """(kind, index, columns of cells) of every table, then every free table.
+
+        A table column becomes a column of one-grapheme cells (``zip`` of one
+        sequence yields 1-tuples).
+        """
+        tables = (
+            ("table", i, tuple(tuple(zip(col)) for col in t.columns))
+            for i, t in enumerate(self.tables)
+        )
+        free_tables = (("free_table", i, ft.columns) for i, ft in enumerate(self.free_tables))
+        return (*tables, *free_tables)
 
     @cached_property
     def matchers(self) -> dict[bool, tuple[tuple[int, ...], dict[str, str], dict[str, str]]]:
@@ -123,18 +137,6 @@ class Ruleset:
             lengths = sorted({len(k) for k in (*fixed, *graphemes)}, reverse=True)
             out[fold_case] = (tuple(lengths), fixed, graphemes)
         return out
-
-
-def _column_groups(ruleset: Ruleset) -> Iterator[tuple[str, int, tuple]]:
-    """(kind, index, columns of cells) of every table, then every free table.
-
-    A table column becomes a column of one-grapheme cells (``zip`` of one
-    sequence yields 1-tuples).
-    """
-    for i, t in enumerate(ruleset.tables):
-        yield "table", i, tuple(tuple(zip(col)) for col in t.columns)
-    for i, ft in enumerate(ruleset.free_tables):
-        yield "free_table", i, ft.columns
 
 
 @dataclass(frozen=True)
@@ -238,7 +240,7 @@ def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
         for g in s:
             claim(g, "set", i)
 
-    for kind, i, columns in _column_groups(ruleset):
+    for kind, i, columns in ruleset.column_groups:
         shape: list[tuple[str, str]] = []  # (code, message)
         if len(columns) < 2:
             noun = kind.replace("_", "-")
@@ -301,7 +303,7 @@ def _count(ruleset: Ruleset, *, cycles: bool) -> int:
     total = 1
     for s in ruleset.sets:
         total *= math.factorial(len(s) - shift)
-    for _, _, columns in _column_groups(ruleset):
+    for _, _, columns in ruleset.column_groups:
         total *= math.factorial(len(columns) - shift)
         for col in columns:
             for cell in col:
@@ -336,7 +338,7 @@ def _sample(ruleset: Ruleset, seed: int) -> PermutationMap:
         rng = stream(seed, "set", idx)
         pairs.update(rng.cycle(s))
 
-    for kind, idx, columns in _column_groups(ruleset):
+    for kind, idx, columns in ruleset.column_groups:
         rng = stream(seed, kind, idx)
         for src_col, img_col in _column_cycle(rng, columns):
             for cell, img_cell in zip(src_col, img_col):
@@ -414,7 +416,7 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
         if {pmap(g) for g in s} != set(s):
             problems.append(f"set[{i}] is not closed under the map")
 
-    for kind, i, columns in _column_groups(ruleset):
+    for kind, i, columns in ruleset.column_groups:
         # Image of each cell must be exactly the same-row cell of a single
         # column, identical across all rows of the source column.
         for c, col in enumerate(columns):

@@ -105,30 +105,48 @@ def _fill(template, values: Mapping[str, str]):
     return template
 
 
+def _api_key(endpoint: EndpointConfig) -> str:
+    """The credential named by ``api_key_env`` ("" when none is named)."""
+    if not endpoint.api_key_env:
+        return ""
+    api_key = os.environ.get(endpoint.api_key_env, "")
+    if not api_key:
+        raise RuntimeError(f"credential environment variable {endpoint.api_key_env} is not set")
+    return api_key
+
+
 def build_request(endpoint: EndpointConfig, prompt: PromptInstance) -> tuple[dict, dict]:
-    api_key = ""
-    if endpoint.api_key_env:
-        api_key = os.environ.get(endpoint.api_key_env, "")
-        if not api_key:
-            raise RuntimeError(
-                f"credential environment variable {endpoint.api_key_env} is not set"
-            )
     values = {
         "system": prompt.system_message,
         "user": prompt.user_message,
         "model": endpoint.model,
-        "api_key": api_key,
+        "api_key": _api_key(endpoint),
     }
     headers = _fill(endpoint.headers, values)
     body = _fill(endpoint.body or endpoint.default_body(), values)
     return headers, body
 
 
-def _requests_transport(url: str, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
-    import requests
+def _http_transport(url: str, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
+    """POST ``body`` as UTF-8 JSON on a fresh connection.
 
-    resp = requests.post(url, headers=headers, json=body, timeout=timeout_s)
-    return resp.status_code, resp.text
+    An HTTP error status comes back as ``(status, text)``, not as an
+    exception, so that ``_query_one`` decides what to retry.
+    """
+    import urllib.error
+    import urllib.request
+
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
+    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+    if not request.has_header("Content-type"):
+        request.add_header("Content-Type", "application/json")
+    try:
+        response = urllib.request.urlopen(request, timeout=timeout_s)
+    except urllib.error.HTTPError as exc:
+        response = exc
+    with response:
+        charset = response.headers.get_content_charset() or "utf-8"
+        return response.status, response.read().decode(charset, errors="replace")
 
 
 def extract_text(envelope_text: str, response_path: str) -> str:
@@ -291,6 +309,11 @@ def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
     return records
 
 
+# A client error is final: the same request would fail again.  Only a
+# timeout (408) and a rate limit (429) are worth another attempt.
+_RETRIED_4XX = (408, 429)
+
+
 def _query_one(
     prompt: PromptInstance,
     endpoint: EndpointConfig,
@@ -305,14 +328,16 @@ def _query_one(
         attempts += 1
         try:
             code, text = transport(endpoint.url, headers, body, endpoint.timeout_s)
-            if code != 200:
-                raise RuntimeError(f"HTTP {code}: {text[:200]}")
-            raw = extract_text(text, endpoint.response_path)
-            break
+            if code == 200:
+                raw = extract_text(text, endpoint.response_path)
+                break
+            failure = f"HTTP {code}: {text[:200]}"
+            if 400 <= code < 500 and code not in _RETRIED_4XX:
+                break
         except Exception as exc:  # noqa: BLE001 - transport failures are data
             failure = str(exc)
-            if attempts <= endpoint.max_retries:
-                time.sleep(endpoint.retry_base_s * (2 ** (attempts - 1)))
+        if attempts <= endpoint.max_retries:
+            time.sleep(endpoint.retry_base_s * (2 ** (attempts - 1)))
     latency_ms = (time.perf_counter() - started) * 1000.0
 
     if raw is None:
@@ -345,10 +370,13 @@ def run(
 
     Exactly one final record per prompt_id lands in records.jsonl; reruns
     skip prompt_ids that already have one.  Transport failures after the
-    retry budget become ``transport_error`` records, never exceptions.
+    retry budget, and a 4xx reply other than 408 or 429 at once, become
+    ``transport_error`` records, never exceptions.  A missing credential
+    raises before the run directory is touched.
     """
     if not prompts:
         raise ValueError("no prompts to run")
+    _api_key(endpoint)  # fail before the run directory is touched
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "manifest.json").write_text(
@@ -362,7 +390,7 @@ def run(
         encoding="utf-8",
     )
 
-    transport = transport or _requests_transport
+    transport = transport or _http_transport
     done = read_records(run_dir)
     pending = [p for p in prompts if p.prompt_id not in done]
 

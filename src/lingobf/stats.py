@@ -43,14 +43,20 @@ def bootstrap(tensor: ScoreTensor, sets: int = 500, seed: int = 0) -> BootstrapR
     """Score distribution over uniform per-problem variant choices."""
     if sets < 0:
         raise ValueError("sets must be >= 0")
+    # Each problem's score under each variant p, computed once: a set only
+    # picks one entry per problem, so its score is bit-identical to
+    # recomputing the question means for every set.
+    variant_means = []
+    for problem in tensor.problems:
+        means = []
+        for variant in problem.scores:
+            question_means = [sum(row) / len(row) for row in variant]
+            means.append(sum(question_means) / len(question_means))
+        variant_means.append(means)
     scores = []
     for s in range(sets):
-        rng = stream(seed, "bootstrap-set", s)
-        per_problem = []
-        for problem in tensor.problems:
-            p = rng.below(problem.permutations + 1)
-            question_means = [sum(row) / len(row) for row in problem.scores[p]]
-            per_problem.append(sum(question_means) / len(question_means))
+        below = stream(seed, "bootstrap-set", s).below
+        per_problem = [means[below(len(means))] for means in variant_means]
         scores.append(sum(per_problem) / len(per_problem))
     return BootstrapResult(set_scores=tuple(scores), seed=seed, sets=sets)
 

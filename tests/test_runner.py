@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingobf.mockserver import MockModelServer
-from lingobf.prompts import PromptInstance
+from lingobf.prompts import PromptInstance, write_prompts
 from lingobf.runner import (
     STATUS_BAD_PARSING,
     STATUS_EMPTY,
@@ -16,6 +21,7 @@ from lingobf.runner import (
     STATUS_TRANSPORT_ERROR,
     _LADDER,
     EndpointConfig,
+    _http_transport,
     _key_pairs,
     build_request,
     error_summary_table,
@@ -25,6 +31,8 @@ from lingobf.runner import (
     run,
     summarize_errors,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make_prompt(i: int, keys=("1",)) -> PromptInstance:
@@ -240,6 +248,56 @@ def test_http_error_counts_as_transport(tmp_path):
     assert read_records(tmp_path / "run")["x:p0:q0"].status == STATUS_TRANSPORT_ERROR
 
 
+@pytest.mark.parametrize("code", [400, 401, 404])
+def test_client_error_is_not_retried(tmp_path, code):
+    calls = []
+
+    def refusing(url, headers, body, timeout):
+        calls.append(1)
+        return code, "no such thing"
+
+    summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=refusing)
+    assert summary["transport_error"] == 1
+    record = read_records(tmp_path / "run")["x:p0:q0"]
+    assert (record.status, record.attempts) == (STATUS_TRANSPORT_ERROR, 1)
+    assert record.raw_text == f"HTTP {code}: no such thing"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("code", [408, 429, 500])
+def test_timeout_rate_limit_and_server_errors_are_retried(tmp_path, code):
+    calls = []
+
+    def busy_once(url, headers, body, timeout):
+        calls.append(1)
+        if len(calls) == 1:
+            return code, "try again"
+        return ok_transport(url, headers, body, timeout)
+
+    summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=busy_once)
+    assert summary["ok"] == 1
+    assert read_records(tmp_path / "run")["x:p0:q0"].attempts == 2
+
+
+def test_missing_credential_leaves_the_run_directory_untouched(tmp_path, monkeypatch):
+    monkeypatch.delenv("NOPE_KEY", raising=False)
+    endpoint = EndpointConfig(name="mock", url="http://unused", api_key_env="NOPE_KEY")
+    run_dir = tmp_path / "run"
+    run([make_prompt(0)], ENDPOINT, run_dir, transport=ok_transport)
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    def unreachable(url, headers, body, timeout):
+        raise AssertionError("no request may be sent without the credential")
+
+    prompts = [make_prompt(i) for i in range(3)]
+    with pytest.raises(RuntimeError, match="NOPE_KEY"):
+        run(prompts, endpoint, run_dir, transport=unreachable)
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+    with pytest.raises(RuntimeError, match="NOPE_KEY"):
+        run(prompts, endpoint, tmp_path / "fresh", transport=unreachable)
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_recovery_after_transient_failures(tmp_path):
     attempts = {"n": 0}
 
@@ -369,6 +427,85 @@ def test_run_against_real_http_mock(tmp_path):
         summary = run([make_prompt(0)], endpoint, tmp_path / "run")
     assert summary["ok"] == 1
     assert read_records(tmp_path / "run")["x:p0:q0"].parsed == {"1": "pong"}
+
+
+def test_http_transport_sends_non_ascii_intact(tmp_path):
+    user = "Translate: ŋʔɛ̃ ʃʒ tʼa ǂxʼ — «ʕə»"
+    seen = []
+
+    def echo(system, user_message):
+        seen.append(user_message)
+        return json.dumps({"1": user_message}, ensure_ascii=False)
+
+    prompt = PromptInstance(**{**make_prompt(0).__dict__, "user_message": user})
+    with MockModelServer(echo) as server:
+        endpoint = EndpointConfig(name="http-mock", url=server.url, retry_base_s=0.0)
+        summary = run([prompt], endpoint, tmp_path / "run")
+    assert summary["ok"] == 1
+    assert seen == [user]
+    assert read_records(tmp_path / "run")["x:p0:q0"].parsed == {"1": user}
+
+
+def test_http_transport_sends_json_bytes_with_a_json_content_type(monkeypatch):
+    import urllib.request
+
+    sent = []
+
+    def offline(request, timeout):
+        sent.append(request)
+        raise OSError("offline")
+
+    monkeypatch.setattr(urllib.request, "urlopen", offline)
+    for headers in ({}, {"content-type": "text/plain"}):
+        with pytest.raises(OSError):
+            _http_transport("http://unused", headers, {"a": "é"}, 1.0)
+    assert [r.get_header("Content-type") for r in sent] == ["application/json", "text/plain"]
+    assert sent[0].data == b'{"a": "\\u00e9"}'
+
+
+@pytest.mark.parametrize("code", [500, 429])
+def test_http_transport_returns_an_error_status(code):
+    with MockModelServer(lambda system, user: (code, "planted fault")) as server:
+        got = _http_transport(server.url, {}, {"messages": []}, 5.0)
+    assert got == (code, "planted fault")
+
+
+def test_connection_refused_becomes_a_transport_error(tmp_path):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    # Nothing listens on the port once the socket is closed.
+    endpoint = EndpointConfig(
+        name="gone", url=f"http://127.0.0.1:{port}/v1", retry_base_s=0.0, max_retries=2
+    )
+    summary = run([make_prompt(0)], endpoint, tmp_path / "run")
+    assert summary["transport_error"] == 1
+    record = read_records(tmp_path / "run")["x:p0:q0"]
+    assert record.attempts == 3
+    assert "refused" in record.raw_text.lower()
+
+
+def test_cli_run_needs_no_requests_package(tmp_path):
+    prompts_path = tmp_path / "prompts.jsonl"
+    write_prompts([make_prompt(i) for i in range(3)], prompts_path)
+    with MockModelServer(lambda system, user: json.dumps({"1": "pong"})) as server:
+        config = tmp_path / "endpoint.json"
+        config.write_text(json.dumps({"name": "http-mock", "url": server.url}), encoding="utf-8")
+        script = (
+            "import sys; sys.modules['requests'] = None; "
+            "from lingobf.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "run", "--prompts", str(prompts_path),
+             "--endpoint", str(config), "--out", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["ok"] == 3
+    assert {r.parsed["1"] for r in read_records(tmp_path / "run").values()} == {"pong"}
 
 
 # ---------------------------------------------------------------------------
