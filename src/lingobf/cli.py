@@ -29,15 +29,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_corpus_or_fail(path: str) -> corpus.Corpus:
-    loaded, report = corpus.load_corpus(path)
+def _load_corpus(path: str, *, fold_case: bool = True) -> tuple[corpus.Corpus, corpus.LoadReport]:
+    loaded, report = corpus.load_corpus(path, fold_case=fold_case)
     for warning in report.warnings:
         _diag(warning=warning)
+    for failure in report.failures:
+        _diag(problem=failure.problem_id, errors=failure.errors)
+    return loaded, report
+
+
+def _load_corpus_or_fail(path: str, *, fold_case: bool = True) -> corpus.Corpus:
+    loaded, report = _load_corpus(path, fold_case=fold_case)
     if not report.ok:
-        for failure in report.failures:
-            _diag(problem=failure.problem_id, errors=failure.errors)
         raise SystemExit(1)
     return loaded
+
+
+def _read_scores(path: str) -> metrics.ScoreTensor:
+    return metrics.ScoreTensor.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +54,7 @@ def _load_corpus_or_fail(path: str) -> corpus.Corpus:
 
 
 def _cmd_validate(args) -> int:
-    loaded, report = corpus.load_corpus(args.corpus)
-    for warning in report.warnings:
-        _diag(warning=warning)
-    for failure in report.failures:
-        _diag(problem=failure.problem_id, errors=failure.errors)
+    loaded, report = _load_corpus(args.corpus)
     print(
         json.dumps(
             {
@@ -87,10 +92,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    loaded = _load_corpus_or_fail(args.corpus)
-    dataset = corpus.build_dataset(
-        loaded, per_problem=args.per_problem, seed=args.seed, fold_case=args.case_aware
-    )
+    loaded = _load_corpus_or_fail(args.corpus, fold_case=args.case_aware)
+    dataset = corpus.build_dataset(loaded, per_problem=args.per_problem, seed=args.seed)
     manifest = corpus.write_dataset(dataset, args.out)
     print(
         json.dumps(
@@ -147,9 +150,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    tensor = metrics.ScoreTensor.from_dict(
-        json.loads(Path(args.scores).read_text(encoding="utf-8"))
-    )
+    tensor = _read_scores(args.scores)
     result = stats.bootstrap(tensor, sets=args.sets, seed=args.seed)
     _emit(stats.histogram_csv(result, bins=args.bins), args.out)
     _diag(sets=result.sets, mean=result.mean if result.set_scores else None)
@@ -157,9 +158,7 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tensor = metrics.ScoreTensor.from_dict(
-        json.loads(Path(args.scores).read_text(encoding="utf-8"))
-    )
+    tensor = _read_scores(args.scores)
     report = metrics.aggregate(
         tensor, include_original_in_min=args.include_original_in_robust_min
     )
@@ -224,11 +223,8 @@ def _cmd_report(args) -> int:
         reports = {}
         for item in args.compare:
             name, _, path = item.partition("=")
-            other = metrics.ScoreTensor.from_dict(
-                json.loads(Path(path).read_text(encoding="utf-8"))
-            )
             reports[name] = metrics.aggregate(
-                other, include_original_in_min=args.include_original_in_robust_min
+                _read_scores(path), include_original_in_min=args.include_original_in_robust_min
             )
         (out_dir / "heatmap.csv").write_text(metrics.heatmap_csv(reports), encoding="utf-8")
 

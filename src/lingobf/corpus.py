@@ -29,6 +29,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
@@ -83,15 +84,35 @@ class Problem:
     context: annotations.AnnotatedDocument
     questions: tuple[Question, ...]
     ruleset: Ruleset
+    fold_case: bool = True
 
     @property
     def pair_count(self) -> int:
         return sum(len(q.subquestions) for q in self.questions)
 
+    @cached_property
+    def compiled(self) -> CompiledTexts:
+        """Every text of the problem, segmented and checked for coverage once.
+
+        Documents are named as in :func:`_problem_documents` and answers as
+        in :func:`_answer_names`.  Raises ``obfuscate.CoverageError`` (a
+        ``ValueError``) on any Problemese the ruleset cannot segment.
+        """
+        answers = {
+            name: text
+            for j, q in enumerate(self.questions)
+            for sub in q.subquestions
+            for name, text in zip(_answer_names(j, sub), (sub.answer, *sub.alternates))
+        }
+        return CompiledTexts(
+            _problem_documents(self), answers, self.ruleset, fold_case=self.fold_case
+        )
+
 
 @dataclass(frozen=True)
 class Corpus:
     problems: tuple[Problem, ...]
+    fold_case: bool = True
 
     def __iter__(self):
         return iter(self.problems)
@@ -160,7 +181,7 @@ def _parse_problem_text(text: str) -> tuple[str, str, list[tuple[str, list[tuple
 # Loading
 
 
-def _load_problem(path: Path) -> Problem:
+def _load_problem(path: Path, fold_case: bool) -> Problem:
     for name in (PROBLEM_FILE, ANSWERS_FILE, RULESET_FILE, META_FILE):
         if not (path / name).is_file():
             raise ValueError(f"missing {name}")
@@ -234,9 +255,9 @@ def _load_problem(path: Path) -> Problem:
         context=annotations.parse(context_text),
         questions=tuple(questions),
         ruleset=ruleset,
+        fold_case=fold_case,
     )
-
-    _compile(problem, fold_case=True)
+    problem.compiled  # a coverage gap fails this problem's load
     return problem
 
 
@@ -254,30 +275,12 @@ def _answer_names(j: int, sub: Subquestion) -> list[str]:
     return [f"q{j}.{sub.key}", *(f"alt{a}.q{j}.{sub.key}" for a in range(len(sub.alternates)))]
 
 
-def _compile(problem: Problem, *, fold_case: bool) -> CompiledTexts:
-    """Every text of a problem, segmented and checked for coverage once.
-
-    Documents are named as in :func:`_problem_documents` and answers as in
-    :func:`_answer_names`.  Raises ``obfuscate.CoverageError`` (a
-    ``ValueError``) on any Problemese the ruleset cannot segment.
-    """
-    answers = {
-        name: text
-        for j, q in enumerate(problem.questions)
-        for sub in q.subquestions
-        for name, text in zip(_answer_names(j, sub), (sub.answer, *sub.alternates))
-    }
-    return CompiledTexts(
-        _problem_documents(problem), answers, problem.ruleset, fold_case=fold_case
-    )
-
-
-def load_corpus(directory: str | Path) -> tuple[Corpus, LoadReport]:
+def load_corpus(directory: str | Path, *, fold_case: bool = True) -> tuple[Corpus, LoadReport]:
     """Parse and validate every problem directory; failures are per-problem.
 
     A problem that fails parsing, ruleset validation, or the coverage
     check is excluded from the corpus and listed in the report; the rest
-    of the corpus still loads.
+    of the corpus still loads.  ``fold_case`` is the corpus's one case mode.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -289,10 +292,10 @@ def load_corpus(directory: str | Path) -> tuple[Corpus, LoadReport]:
         report.warnings.append(f"no problem directories found in {directory}")
     for path in candidates:
         try:
-            problems.append(_load_problem(path))
+            problems.append(_load_problem(path, fold_case))
         except (ValueError, KeyError, annotations.MarkerError, json.JSONDecodeError) as exc:
             report.failures.append(LoadFailure(problem_id=path.name, errors=[str(exc)]))
-    return Corpus(problems=tuple(problems)), report
+    return Corpus(problems=tuple(problems), fold_case=fold_case), report
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +321,10 @@ class DatasetRecord:
     @property
     def variant_id(self) -> str:
         return f"{self.problem_id}:p{self.p}"
+
+    @property
+    def prompt_id(self) -> str:
+        return f"{self.variant_id}:q{self.question_index}"
 
     @property
     def expected_keys(self) -> tuple[str, ...]:
@@ -392,23 +399,20 @@ class Dataset:
         return len(self.records)
 
 
-def build_dataset(
-    corpus: Corpus, per_problem: int = 6, seed: int = 0, *, fold_case: bool = True
-) -> Dataset:
+def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Dataset:
     """Render variant p=0 plus sampled variants for every problem.
 
-    Deterministic in (corpus, per_problem, seed).  A problem whose ruleset
-    admits fewer than ``per_problem`` distinct permutations simply yields
-    fewer variants.
+    Deterministic in (corpus, per_problem, seed); renders each problem's
+    ``compiled`` texts.  A problem whose ruleset admits fewer than
+    ``per_problem`` distinct permutations simply yields fewer variants.
     """
     records: list[DatasetRecord] = []
     maps: dict[str, PermutationMap] = {}
     for problem in corpus.problems:
-        compiled = _compile(problem, fold_case=fold_case)
         for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
             if p > 0:
                 maps[f"{problem.id}:p{p}"] = pmap
-            rendered_docs, rendered_answers = compiled.render(pmap)
+            rendered_docs, rendered_answers = problem.compiled.render(pmap)
             for j, q in enumerate(problem.questions):
                 golds = {
                     sub.key: [rendered_answers[name] for name in _answer_names(j, sub)]
@@ -436,7 +440,7 @@ def build_dataset(
         maps=maps,
         seed=seed,
         per_problem=per_problem,
-        fold_case=fold_case,
+        fold_case=corpus.fold_case,
     )
 
 

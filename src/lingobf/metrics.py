@@ -176,7 +176,7 @@ def score_run(
         by_problem.setdefault(record.problem_id, {}).setdefault(record.p, {})[
             record.question_index
         ] = record
-        prompt_ids.add(f"{record.variant_id}:q{record.question_index}")
+        prompt_ids.add(record.prompt_id)
 
     unknown = sorted(set(responses) - prompt_ids)
     if unknown:
@@ -201,7 +201,7 @@ def score_run(
                         f"dataset for {problem_id}: variant p={p} lacks question {j}, "
                         "which p=0 has"
                     )
-                prompt_id = f"{record.variant_id}:q{j}"
+                prompt_id = record.prompt_id
                 response = responses.get(prompt_id)
                 if response is None:
                     missing.append(prompt_id)

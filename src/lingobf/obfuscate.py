@@ -14,9 +14,9 @@ coverage violation.
 segments every Problemese span of a problem's documents and answers a
 single time, takes the coverage gaps from that same segmentation and
 refuses the problem on any gap.  ``corpus.load_corpus`` compiles each
-problem this way (folding case) and ``corpus.build_dataset`` does again
-under the build's own ``fold_case``; every variant is then rendered from
-the compiled form with dict lookups and ``join``.
+problem this way once, in the case mode of the load, and keeps the
+compiled form on the problem; ``corpus.build_dataset`` renders every
+variant from it with dict lookups and ``join``.
 
 Matching is case-folded by default and the replacement re-applies the
 original unit's casing pattern (initial capital -> capitalize the

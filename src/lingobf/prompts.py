@@ -46,7 +46,7 @@ class Variant:
 
     @property
     def variant_id(self) -> str:
-        return f"{self.problem_id}:p{self.p}"
+        return self.questions[0].variant_id
 
 
 def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
@@ -161,7 +161,7 @@ def build_prompt(
     parts.append(answer_skeleton(keys))
 
     return PromptInstance(
-        prompt_id=f"{variant.variant_id}:q{question_index}",
+        prompt_id=record.prompt_id,
         variant_id=variant.variant_id,
         problem_id=variant.problem_id,
         p=variant.p,

@@ -379,6 +379,17 @@ def run(
     _api_key(endpoint)  # fail before the run directory is touched
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    # A bad records line raises here, before either file is written.
+    done = read_records(run_dir)
+    pending = [p for p in prompts if p.prompt_id not in done]
+    records_path = run_dir / "records.jsonl"
+    # A crash can leave a torn final line, which read_records skipped; cut
+    # it off so appended records start on a fresh line (its prompt is re-run).
+    if records_path.is_file():
+        data = records_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            os.truncate(records_path, complete)
     (run_dir / "manifest.json").write_text(
         json.dumps(
             {"schema_version": 1, "endpoint": endpoint.name, "prompts": len(prompts)},
@@ -391,18 +402,7 @@ def run(
     )
 
     transport = transport or _http_transport
-    done = read_records(run_dir)
-    pending = [p for p in prompts if p.prompt_id not in done]
-
     lock = threading.Lock()
-    records_path = run_dir / "records.jsonl"
-    # A crash can leave a torn final line, which read_records skipped; cut
-    # it off so appended records start on a fresh line (its prompt is re-run).
-    if records_path.is_file():
-        data = records_path.read_bytes()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            os.truncate(records_path, complete)
 
     def worker(prompt: PromptInstance) -> str:
         record = _query_one(prompt, endpoint, transport)

@@ -38,6 +38,25 @@ def test_validate_broken_corpus_exits_1(capsys, tmp_path, corpus_dir):
     assert diag["problem"] == "birds-x"
 
 
+def test_exact_case_generate_names_the_refused_problem(capsys, tmp_path, corpus_dir):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    problem = tmp_path / "corpus" / "birds-x" / "problem.txt"
+    problem.write_text(
+        problem.read_text(encoding="utf-8").replace("@@@pek@@@", "@@@Pek@@@"),
+        encoding="utf-8",
+    )
+    argv = ["generate", str(tmp_path / "corpus"), "--out", str(tmp_path / "ds"), "--seed", "7"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--no-case-aware"])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "errors": ["coverage gaps: context: span 4 offset 0: 'P'"],
+        "problem": "birds-x",
+    }
+
+
 def test_unknown_flag_exits_2(capsys, corpus_dir):
     with pytest.raises(SystemExit) as exc:
         main(["validate", str(corpus_dir), "--frobnicate"])

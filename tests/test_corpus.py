@@ -7,7 +7,6 @@ import shutil
 import pytest
 
 from lingobf.annotations import MARKERS
-from lingobf.obfuscate import CoverageError
 from lingobf.corpus import (
     build_dataset,
     corpus_stats,
@@ -73,21 +72,22 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
 # Dataset generation
 
 
-def test_exact_case_build_refuses_what_folded_load_passed(tmp_path, corpus_dir):
-    # The load-time check folds case, so capitalized Problemese passes it;
-    # a --no-case-aware build matches exactly and must refuse the problem.
-    shutil.copytree(corpus_dir / "birds-x", tmp_path / "corpus" / "birds-x")
+def test_exact_case_load_refuses_what_folded_load_passes(tmp_path, corpus_dir):
+    # Capitalized Problemese is covered only by case-folded matching, so an
+    # exact-case load lists the problem as a failure under its own name.
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
     text = tmp_path / "corpus" / "birds-x" / "problem.txt"
     text.write_text(
         text.read_text(encoding="utf-8").replace("@@@pek@@@", "@@@Pek@@@"), encoding="utf-8"
     )
-    loaded, report = load_corpus(tmp_path / "corpus")
-    assert report.ok
-    assert build_dataset(loaded, per_problem=2, seed=7, fold_case=True)
-    with pytest.raises(CoverageError) as exc:
-        build_dataset(loaded, per_problem=2, seed=7, fold_case=False)
-    assert list(exc.value.gaps) == ["context"]
-    assert [gap.text for gap in exc.value.gaps["context"]] == ["P"]
+    folded, report = load_corpus(tmp_path / "corpus")
+    assert report.ok and folded.fold_case
+    assert build_dataset(folded, per_problem=2, seed=7).fold_case
+    exact, report = load_corpus(tmp_path / "corpus", fold_case=False)
+    assert not exact.fold_case
+    assert [p.id for p in exact] == ["rivers-z", "voicing-y"]
+    assert [f.problem_id for f in report.failures] == ["birds-x"]
+    assert report.failures[0].errors == ["coverage gaps: context: span 4 offset 0: 'P'"]
 
 
 def test_pair_accounting(corpus, dataset):
@@ -272,8 +272,25 @@ def test_maps_drawn_once_per_problem(tmp_path, corpus, monkeypatch):
     assert len(calls) == len(corpus) == 3
 
 
-def test_manifest_records_the_build_parameters(tmp_path, corpus):
-    dataset = build_dataset(corpus, per_problem=2, seed=3, fold_case=False)
+def test_generate_compiles_each_problem_once(tmp_path, corpus_dir, monkeypatch):
+    import lingobf.corpus
+    from lingobf.cli import main
+
+    calls = []
+    compile_texts = lingobf.corpus.CompiledTexts
+    monkeypatch.setattr(
+        lingobf.corpus,
+        "CompiledTexts",
+        lambda *args, **kwargs: calls.append(args) or compile_texts(*args, **kwargs),
+    )
+    assert main(["generate", str(corpus_dir), "--out", str(tmp_path / "ds"), "--seed", "7"]) == 0
+    assert len(calls) == 3
+
+
+def test_manifest_records_the_build_parameters(tmp_path, corpus_dir):
+    corpus, report = load_corpus(corpus_dir, fold_case=False)
+    assert report.ok
+    dataset = build_dataset(corpus, per_problem=2, seed=3)
     manifest = write_dataset(dataset, tmp_path / "ds")
     assert (manifest["per_problem"], manifest["seed"], manifest["fold_case"]) == (2, 3, False)
     assert manifest["maps"] == {

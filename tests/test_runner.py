@@ -368,6 +368,22 @@ def test_read_records_rejects_bad_lines_mid_file(tmp_path):
         read_records(tmp_path / "run")
 
 
+def test_bad_records_line_fails_before_the_run_directory_is_written(tmp_path):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    manifest = json.dumps({"endpoint": "old", "prompts": 7, "schema_version": 1})
+    (run_dir / "manifest.json").write_text(manifest, encoding="utf-8")
+    (run_dir / "records.jsonl").write_text("{garbage\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    def unreachable(url, headers, body, timeout):
+        raise AssertionError("no request may be sent for a run with bad records")
+
+    with pytest.raises(ValueError, match=r"records\.jsonl: line 1: "):
+        run([make_prompt(0)], ENDPOINT, run_dir, transport=unreachable)
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
+
 def test_read_records_skips_torn_last_line(tmp_path):
     run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=ok_transport)
     path = tmp_path / "run" / "records.jsonl"
