@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from lingobf.cli import main
-from lingobf.mockserver import MockModelServer
+from lingobf.corpus import load_corpus, load_dataset
+from lingobf.mockserver import MockModelServer, knowledge_reply
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,41 @@ def test_full_pipeline_through_cli(capsys, corpus_dir, tmp_path):
     assert (tmp_path / "report" / "per_problem.csv").exists()
     assert (tmp_path / "report" / "regression.csv").exists()
     assert "## Response errors" in (tmp_path / "report" / "summary.md").read_text()
+
+
+def test_fixture_chain_digests_are_pinned(capsys, corpus_dir, tmp_path):
+    # Seed 7 through every stage, answered by the knowledge-lookup model.
+    ds, prompts, run, scores = (
+        tmp_path / name for name in ("ds", "prompts.jsonl", "run", "scores.json")
+    )
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    run_cli(capsys, "prompt", str(ds), "--out", str(prompts))
+    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(ds)[0])
+    with MockModelServer(reply) as server:
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"name": "kb", "url": server.url, "retry_base_s": 0.0}))
+        code, _, _ = run_cli(
+            capsys, "run", "--prompts", str(prompts), "--endpoint", str(endpoint),
+            "--out", str(run), "--parallelism", "2",
+        )
+    assert code == 0
+    for argv in (
+        ("score", "--run", str(run), "--dataset", str(ds), "--out", str(scores)),
+        ("bootstrap", "--scores", str(scores), "--seed", "7", "--out", str(tmp_path / "hist.csv")),
+        ("report", "--scores", str(scores), "--out", str(tmp_path / "report")),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    pinned = {
+        "prompts.jsonl": "01b1e594790a6d7eae194d832ca0e19e876b9ed8bd02ce5f5b749ba74ae1ab61",
+        "scores.json": "a4d031ea077dd416b005b8dde9a0d17bb265f0733f2b3e5cb59889e0fe6c1bc7",
+        "hist.csv": "759c257543ef7f77923b4b246152ea86a0b317acda0e2d71fc67164f9c13e97f",
+        "report/summary.json": "83efed518b0618e6adce025d1e77726f5b2c3e5ce6dadf71d6d872d3af02601d",
+        "report/per_problem.csv": "93a830690487d5b11878b34e83c77bcac0a0550a3266514a1381e42e74ecffd0",
+    }
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned
+    }
+    assert digests == pinned
 
 
 def test_prompt_no_context_and_question_filter(capsys, corpus_dir, tmp_path):
