@@ -46,7 +46,8 @@ def _load_corpus_or_fail(path: str, *, fold_case: bool = True) -> corpus.Corpus:
 
 
 def _read_scores(path: str) -> metrics.ScoreTensor:
-    return metrics.ScoreTensor.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    text = Path(path).read_text(encoding="utf-8")
+    return corpus.decode_json(path, text, metrics.ScoreTensor.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -131,21 +132,14 @@ def _cmd_run(args) -> int:
 def _cmd_score(args) -> int:
     records, _manifest = corpus.load_dataset(args.dataset)
     responses = runner.read_records(args.run)
-    tensor, report = metrics.score_run(
-        responses, records, case_sensitive=args.case_aware
-    )
+    tensor, missing = metrics.score_run(responses, records, case_sensitive=args.case_aware)
     Path(args.out).write_text(
         json.dumps(tensor.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
         encoding="utf-8",
     )
-    for prompt_id in report.missing_prompts:
+    for prompt_id in missing:
         _diag(missing_prompt=prompt_id)
-    print(
-        json.dumps(
-            {"problems": len(tensor.problems), "missing": len(report.missing_prompts)},
-            sort_keys=True,
-        )
-    )
+    print(json.dumps({"problems": len(tensor.problems), "missing": len(missing)}, sort_keys=True))
     return 0
 
 

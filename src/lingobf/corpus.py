@@ -186,12 +186,12 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
         if not (path / name).is_file():
             raise ValueError(f"missing {name}")
 
-    meta = json.loads((path / META_FILE).read_text(encoding="utf-8"))
+    meta = decode_json(META_FILE, (path / META_FILE).read_text(encoding="utf-8"), dict)
     difficulty = meta.get("difficulty")
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}; expected one of {DIFFICULTIES}")
     lang = meta.get("language", {})
-    speakers = lang.get("speakers")
+    speakers = lang.get("speakers") if isinstance(lang, dict) else None
     if not isinstance(speakers, int) or speakers <= 0:
         raise ValueError("language.speakers must be a positive integer")
     language = LanguageMeta(name=str(lang.get("name", "")), speakers=speakers)
@@ -224,23 +224,29 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
         if len(set(keys)) != len(keys):
             raise ValueError(f"question {j} has duplicate subquestion keys")
         answer_map = raw_answers[j]
+        if not isinstance(answer_map, dict):
+            raise ValueError(f"{ANSWERS_FILE}: question {j} must be a JSON object")
         missing = [k for k in keys if k not in answer_map]
         if missing:
             raise ValueError(f"question {j} missing answers for keys {missing}")
         subquestions = []
         for key, sub_text in subs:
             entry = answer_map[key]
-            if isinstance(entry, str):
-                answer, alternates = entry, ()
-            else:
-                answer = entry["answer"]
-                alternates = tuple(_norm(a) for a in entry.get("alternates", ()))
+            texts = [entry] if isinstance(entry, str) else [None]
+            if isinstance(entry, dict) and isinstance(entry.get("alternates", []), list):
+                texts = [entry.get("answer"), *entry.get("alternates", [])]
+            if not all(isinstance(text, str) for text in texts):
+                raise ValueError(
+                    f"{ANSWERS_FILE}: question {j} key {key!r}: expected a string or "
+                    '{"answer": string, "alternates": [string, ...]}'
+                )
+            answer, *alternates = map(_norm, texts)
             subquestions.append(
                 Subquestion(
                     key=key,
                     text=annotations.parse(sub_text),
-                    answer=_norm(answer),
-                    alternates=alternates,
+                    answer=answer,
+                    alternates=tuple(alternates),
                 )
             )
         questions.append(
@@ -364,6 +370,56 @@ class DatasetRecord:
         )
 
 
+@dataclass(frozen=True)
+class Variant:
+    """All questions of one rendered problem variant, in question order."""
+
+    problem_id: str
+    p: int
+    questions: tuple[DatasetRecord, ...]
+
+    @property
+    def variant_id(self) -> str:
+        return self.questions[0].variant_id
+
+
+def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
+    """Records grouped into variants: problem -> p -> questions, each level sorted.
+
+    This is the layout of the score tensor L(i, j, k, p), so every variant
+    of a problem must repeat its p = 0: a problem's p values must be
+    exactly 0..P, and every variant must have p = 0's question indices and,
+    per question, its sub-question keys in order.  Otherwise ``ValueError``
+    names the problem and, for a variant that differs, its p.
+    """
+    by_problem: dict[str, dict[int, list[DatasetRecord]]] = {}
+    for record in records:
+        by_problem.setdefault(record.problem_id, {}).setdefault(record.p, []).append(record)
+    variants = []
+    for problem_id, by_p in sorted(by_problem.items()):
+        where = f"dataset for {problem_id}"
+        if sorted(by_p) != list(range(len(by_p))):
+            raise ValueError(f"{where}: variants p={sorted(by_p)} are not p=0..{len(by_p) - 1}")
+        original: dict[int, tuple[str, ...]] = {}
+        for p in range(len(by_p)):
+            recs = tuple(sorted(by_p[p], key=lambda r: r.question_index))
+            shape = {r.question_index: r.expected_keys for r in recs}
+            if len(shape) < len(recs):
+                raise ValueError(f"{where}: variant p={p} repeats a question index")
+            if p == 0:
+                original = shape
+            for j in sorted(original.keys() | shape.keys()):
+                if j not in shape:
+                    raise ValueError(f"{where}: variant p={p} lacks question {j}, which p=0 has")
+                if shape[j] != original.get(j):
+                    raise ValueError(
+                        f"{where}: variant p={p} question {j} has sub-question keys "
+                        f"{list(shape[j])}, p=0 has {list(original.get(j, ()))}"
+                    )
+            variants.append(Variant(problem_id=problem_id, p=p, questions=recs))
+    return variants
+
+
 def variant_maps(problem: Problem, per_problem: int, seed: int) -> list[PermutationMap]:
     """Identity plus up to ``per_problem`` distinct sampled maps for a problem.
 
@@ -447,9 +503,10 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     """Persist records.jsonl + manifest.json; returns the manifest.
 
-    The manifest carries toolkit version, the generation parameters and
-    sampled maps the dataset was built with, and a content digest per
-    variant.
+    Records are written as ``group_variants`` orders them, so a dataset
+    that ``prompt`` and ``score`` would refuse is never written.  The
+    manifest carries toolkit version, the generation parameters and sampled
+    maps the dataset was built with, and a content digest per variant.
     """
     from . import __version__
 
@@ -457,17 +514,12 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records = dataset.records
-    lines = [r.to_json() for r in records]
-    (out_dir / "records.jsonl").write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
-
-    per_variant: dict[str, "hashlib._Hash"] = {}
-    for record, line in zip(records, lines):
-        per_variant.setdefault(record.variant_id, hashlib.sha256()).update(
-            line.encode("utf-8") + b"\n"
-        )
-    digests = {vid: h.hexdigest() for vid, h in per_variant.items()}
+    blocks = {
+        v.variant_id: "".join(r.to_json() + "\n" for r in v.questions)
+        for v in group_variants(records)
+    }
+    (out_dir / "records.jsonl").write_text("".join(blocks.values()), encoding="utf-8")
+    digests = {vid: hashlib.sha256(b.encode("utf-8")).hexdigest() for vid, b in blocks.items()}
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -494,28 +546,31 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
 _T = TypeVar("_T")
 
 
+def decode_json(where: str | Path, text: str, decode: Callable[[dict], _T]) -> _T:
+    """``decode`` of the JSON object ``text``; ``ValueError`` naming ``where`` if malformed."""
+    try:
+        d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
+        return decode(d)
+    except KeyError as exc:
+        raise ValueError(f"{where}: record lacks field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def decode_lines(path: Path, lines: Sequence[str], decode: Callable[[dict], _T]) -> list[_T]:
-    """``decode`` of the JSON object on every non-blank line of the JSON-lines file ``path``.
+    """``decode_json`` of every non-blank line of the JSON-lines file ``path``.
 
     Callers split the file on LF only, never with ``str.splitlines``:
     ``json.dumps(ensure_ascii=False)`` leaves U+2028 and the like raw inside
-    strings.  A line that is not a JSON object or does not decode raises
-    ``ValueError`` naming the file and the 1-based line.
+    strings.  An error names the file and the 1-based line.
     """
-    decoded = []
-    for lineno, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-            if not isinstance(d, dict):
-                raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
-            decoded.append(decode(d))
-        except KeyError as exc:
-            raise ValueError(f"{path}: line {lineno}: record lacks field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return decoded
+    return [
+        decode_json(f"{path}: line {lineno}", line, decode)
+        for lineno, line in enumerate(lines, 1)
+        if line.strip()
+    ]
 
 
 def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:

@@ -29,9 +29,12 @@ import json
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import DatasetRecord
+from .corpus import DatasetRecord, group_variants
 from .runner import STATUS_OK, ResponseRecord
 
 ANSWER_TYPES = ("Digit", "SingleChar", "YN", "Other")
@@ -100,6 +103,15 @@ class ProblemScores:
     def question_count(self) -> int:
         return len(self.scores[0])
 
+    @cached_property
+    def variant_means(self) -> tuple[float, ...]:
+        """Per p, the mean over questions of each question's mean sub-question score."""
+        means = []
+        for variant in self.scores:
+            question_means = [sum(row) / len(row) for row in variant]
+            means.append(sum(question_means) / len(question_means))
+        return tuple(means)
+
 
 @dataclass(frozen=True)
 class ScoreTensor:
@@ -124,21 +136,30 @@ class ScoreTensor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTensor":
-        return cls(
-            problems=tuple(
-                ProblemScores(
-                    problem_id=p["problem_id"],
-                    difficulty=p["difficulty"],
-                    speakers=p["speakers"],
-                    scores=tuple(
-                        tuple(tuple(int(v) for v in q) for q in perm) for perm in p["scores"]
-                    ),
-                    answer_types=tuple(tuple(q) for q in p["answer_types"]),
-                )
-                for p in data["problems"]
-            ),
-            case_sensitive=data.get("case_sensitive", True),
-        )
+        """The tensor ``to_dict`` wrote; ``ValueError`` names a problem of another shape."""
+        problems = []
+        for p in data["problems"]:
+            problem = ProblemScores(
+                problem_id=p["problem_id"],
+                difficulty=p["difficulty"],
+                speakers=p["speakers"],
+                scores=tuple(
+                    tuple(tuple(int(v) for v in q) for q in perm) for perm in p["scores"]
+                ),
+                answer_types=tuple(tuple(q) for q in p["answer_types"]),
+            )
+            shape = [len(q) for q in problem.answer_types]
+            if not (problem.scores and shape and all(shape)):
+                raise ValueError(f"problem {problem.problem_id}: empty scores or answer_types")
+            for perm, variant in enumerate(problem.scores):
+                rows = [len(row) for row in variant]
+                if rows != shape:
+                    raise ValueError(
+                        f"problem {problem.problem_id}: variant p={perm} has rows of {rows} "
+                        f"scores, answer_types has {shape}"
+                    )
+            problems.append(problem)
+        return cls(problems=tuple(problems), case_sensitive=data.get("case_sensitive", True))
 
 
 class UnknownPromptError(ValueError):
@@ -151,91 +172,60 @@ class UnknownPromptError(ValueError):
         super().__init__(f"prompt_ids not in dataset: {shown}{more}")
 
 
-@dataclass
-class ScoreReport:
-    missing_prompts: list[str]
-    scored: int
-
-
 def score_run(
     responses: Mapping[str, ResponseRecord],
-    records: Sequence[DatasetRecord],
+    records: Iterable[DatasetRecord],
     *,
     case_sensitive: bool = True,
-) -> tuple[ScoreTensor, ScoreReport]:
+) -> tuple[ScoreTensor, list[str]]:
     """Binary outcome for every (i, j, k, p) cell the dataset defines.
 
-    Missing records, empty responses, parse failures, transport errors
-    and missing keys all score 0; extra keys in a parsed response are
-    ignored.  Responses whose prompt_id is not in the dataset raise
-    UnknownPromptError.
+    Returns the tensor and the prompt_ids that have no response.  Missing
+    records, empty responses, parse failures, transport errors and missing
+    keys all score 0; extra keys in a parsed response are ignored.
+    Responses whose prompt_id is not in the dataset raise
+    UnknownPromptError; a dataset ``corpus.group_variants`` refuses raises
+    its ``ValueError``.
     """
-    by_problem: dict[str, dict[int, dict[int, DatasetRecord]]] = {}
-    prompt_ids = set()
-    for record in records:
-        by_problem.setdefault(record.problem_id, {}).setdefault(record.p, {})[
-            record.question_index
-        ] = record
-        prompt_ids.add(record.prompt_id)
-
-    unknown = sorted(set(responses) - prompt_ids)
+    variants = group_variants(records)
+    unknown = sorted(set(responses) - {r.prompt_id for v in variants for r in v.questions})
     if unknown:
         raise UnknownPromptError(unknown)
 
     missing: list[str] = []
-    problems: list[ProblemScores] = []
-    for problem_id in sorted(by_problem):
-        variants = by_problem[problem_id]
-        p_values = sorted(variants)
-        if p_values != list(range(len(p_values))) or 0 not in variants:
-            raise ValueError(f"dataset for {problem_id} lacks a contiguous p range with p=0")
-        sample = variants[0]
-        question_indices = sorted(sample)
-        per_p: list[tuple[tuple[int, ...], ...]] = []
-        for p in p_values:
-            rows = []
-            for j in question_indices:
-                record = variants[p].get(j)
-                if record is None:
-                    raise ValueError(
-                        f"dataset for {problem_id}: variant p={p} lacks question {j}, "
-                        "which p=0 has"
-                    )
-                prompt_id = record.prompt_id
-                response = responses.get(prompt_id)
-                if response is None:
-                    missing.append(prompt_id)
-                row = []
-                for key, _text in record.subquestions:
-                    pred = None
-                    if response is not None and response.status == STATUS_OK and response.parsed:
-                        pred = response.parsed.get(key)
-                    row.append(
-                        exact_match(
-                            pred,
-                            record.answers[key],
-                            record.alternates.get(key, ()),
-                            case_sensitive=case_sensitive,
-                        )
-                    )
-                rows.append(tuple(row))
-            per_p.append(tuple(rows))
-        answer_types = tuple(
-            tuple(answer_type(sample[j].answers[key]) for key, _ in sample[j].subquestions)
-            for j in question_indices
+
+    def row(record: DatasetRecord) -> tuple[int, ...]:
+        response = responses.get(record.prompt_id)
+        if response is None:
+            missing.append(record.prompt_id)
+        parsed = response.parsed if response is not None and response.status == STATUS_OK else None
+        return tuple(
+            exact_match(
+                parsed.get(key) if parsed else None,
+                record.answers[key],
+                record.alternates.get(key, ()),
+                case_sensitive=case_sensitive,
+            )
+            for key in record.expected_keys
         )
-        first = sample[question_indices[0]]
+
+    problems = []
+    for problem_id, group in groupby(variants, key=attrgetter("problem_id")):
+        group = list(group)
+        original = group[0].questions
         problems.append(
             ProblemScores(
                 problem_id=problem_id,
-                difficulty=first.difficulty,
-                speakers=first.speakers,
-                scores=tuple(per_p),
-                answer_types=answer_types,
+                difficulty=original[0].difficulty,
+                speakers=original[0].speakers,
+                scores=tuple(tuple(row(r) for r in v.questions) for v in group),
+                answer_types=tuple(
+                    tuple(answer_type(r.answers[key]) for key in r.expected_keys)
+                    for r in original
+                ),
             )
         )
-    tensor = ScoreTensor(problems=tuple(problems), case_sensitive=case_sensitive)
-    return tensor, ScoreReport(missing_prompts=missing, scored=len(responses))
+    return ScoreTensor(problems=tuple(problems), case_sensitive=case_sensitive), missing
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +259,8 @@ class MetricsReport:
 def _problem_metrics(p: ProblemScores, *, include_original_in_min: bool) -> ProblemMetrics:
     questions = range(p.question_count)
     P = p.permutations
-
-    og_by_j = [sum(p.scores[0][j]) / len(p.scores[0][j]) for j in questions]
-    m_og_i = sum(og_by_j) / len(og_by_j)
+    m_og_i, *obf_means = p.variant_means
+    delta_by_p = tuple(mean - m_og_i for mean in obf_means)
 
     if P > 0:
         obf_by_j = [
@@ -280,16 +269,9 @@ def _problem_metrics(p: ProblemScores, *, include_original_in_min: bool) -> Prob
             for j in questions
         ]
         m_obf_i = sum(obf_by_j) / len(obf_by_j)
-        delta_by_p = tuple(
-            sum(sum(p.scores[perm][j]) / len(p.scores[perm][j]) for j in questions)
-            / len(og_by_j)
-            - m_og_i
-            for perm in range(1, P + 1)
-        )
         delta_i = sum(delta_by_p) / P
     else:
         m_obf_i = None
-        delta_by_p = ()
         delta_i = None
 
     start = 0 if include_original_in_min or P == 0 else 1

@@ -8,6 +8,11 @@ nothing else, which turns the prompt into a probe for knowledge
 shortcuts: with the key information gone, scoring above chance requires
 prior exposure rather than reasoning.  An optional guidance block (expert
 reasoning steps) is inserted immediately before the instructions.
+
+Prompts are built per variant from ``corpus.group_variants``, which
+``metrics.score_run`` scores too: ``prompt`` refuses what ``score``
+refuses, a variant whose questions or sub-question keys differ from
+p = 0's, with a ``ValueError`` naming the problem and p.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DatasetRecord, decode_lines
+from .corpus import DatasetRecord, Variant, decode_lines, group_variants
 
 SYSTEM_MESSAGE = "You are a helpful assistant."
 
@@ -32,40 +37,6 @@ INSTRUCTIONS = (
     "Only respond with json output. Do not include anything other than the json in "
     "your response. Format your response as a json file with the keys as provided below:"
 )
-
-
-@dataclass(frozen=True)
-class Variant:
-    """All questions of one rendered problem variant, in order."""
-
-    problem_id: str
-    p: int
-    preamble: str
-    context: str
-    questions: tuple[DatasetRecord, ...]
-
-    @property
-    def variant_id(self) -> str:
-        return self.questions[0].variant_id
-
-
-def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
-    by_variant: dict[tuple[str, int], list[DatasetRecord]] = {}
-    for record in records:
-        by_variant.setdefault((record.problem_id, record.p), []).append(record)
-    variants = []
-    for (problem_id, p), recs in sorted(by_variant.items()):
-        recs = sorted(recs, key=lambda r: r.question_index)
-        variants.append(
-            Variant(
-                problem_id=problem_id,
-                p=p,
-                preamble=recs[0].preamble,
-                context=recs[0].context,
-                questions=tuple(recs),
-            )
-        )
-    return variants
 
 
 @dataclass(frozen=True)
@@ -143,6 +114,12 @@ def build_prompt(
     ``no_context``), the chosen question's sub-questions, optional
     guidance, instructions, JSON skeleton.
     """
+    return _fill(variant, _sheet_text(variant), question_index, no_context, guidance)
+
+
+def _fill(
+    variant: Variant, sheet: str, question_index: int, no_context: bool, guidance: str | None
+) -> PromptInstance:
     if not 0 <= question_index < len(variant.questions):
         raise IndexError(
             f"question index {question_index} out of range for {variant.variant_id}"
@@ -150,9 +127,9 @@ def build_prompt(
     record = variant.questions[question_index]
     keys = record.expected_keys
 
-    parts = [HEADER, _sheet_text(variant), "", "Now respond to the following questions:", variant.preamble]
+    parts = [HEADER, sheet, "", "Now respond to the following questions:", record.preamble]
     if not no_context:
-        parts.append(variant.context)
+        parts.append(record.context)
     parts.append(_question_text(record))
     parts.append("")
     if guidance is not None:
@@ -184,7 +161,8 @@ def build_prompts(
     """Prompts for every (variant, question) pair in the dataset.
 
     ``question_index`` restricts output to one question index per variant
-    (variants lacking that index are skipped).
+    (variants lacking that index are skipped).  Raises ``ValueError`` as
+    ``corpus.group_variants`` does.
     """
     prompts = []
     for variant in group_variants(records):
@@ -193,10 +171,8 @@ def build_prompts(
             if question_index is None
             else [question_index] if question_index < len(variant.questions) else []
         )
-        for j in indices:
-            prompts.append(
-                build_prompt(variant, j, no_context=no_context, guidance=guidance)
-            )
+        sheet = _sheet_text(variant)
+        prompts.extend(_fill(variant, sheet, j, no_context, guidance) for j in indices)
     return prompts
 
 

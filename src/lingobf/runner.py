@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import decode_lines
+from .corpus import decode_json, decode_lines
 from .prompts import PromptInstance
 
 STATUS_OK = "ok"
@@ -73,8 +73,7 @@ class EndpointConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EndpointConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(**data)
+        return decode_json(path, Path(path).read_text(encoding="utf-8"), lambda d: cls(**d))
 
     def default_body(self) -> dict:
         body: dict = {

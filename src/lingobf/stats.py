@@ -43,16 +43,9 @@ def bootstrap(tensor: ScoreTensor, sets: int = 500, seed: int = 0) -> BootstrapR
     """Score distribution over uniform per-problem variant choices."""
     if sets < 0:
         raise ValueError("sets must be >= 0")
-    # Each problem's score under each variant p, computed once: a set only
-    # picks one entry per problem, so its score is bit-identical to
-    # recomputing the question means for every set.
-    variant_means = []
-    for problem in tensor.problems:
-        means = []
-        for variant in problem.scores:
-            question_means = [sum(row) / len(row) for row in variant]
-            means.append(sum(question_means) / len(question_means))
-        variant_means.append(means)
+    # A set only picks one variant per problem, so its score is bit-identical
+    # to recomputing the question means for every set.
+    variant_means = [problem.variant_means for problem in tensor.problems]
     scores = []
     for s in range(sets):
         below = stream(seed, "bootstrap-set", s).below

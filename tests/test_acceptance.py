@@ -323,8 +323,8 @@ def test_11_no_context_knowledge_shortcut(corpus, dataset, tmp_path):
         endpoint = EndpointConfig(name="lookup", url="http://in-process", retry_base_s=0.0)
         run_prompts(prompts, endpoint, tmp_path / "run", transport=transport)
         responses = read_records(tmp_path / "run")
-        tensor, report = score_run(responses, dataset)
-        assert report.missing_prompts == []
+        tensor, missing = score_run(responses, dataset)
+        assert missing == []
         summary = aggregate(tensor)
 
         # Knowledge lookup succeeds on original orthography...

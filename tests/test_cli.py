@@ -230,6 +230,58 @@ def test_fixture_chain_digests_are_pinned(capsys, corpus_dir, tmp_path):
     assert digests == pinned
 
 
+def test_prompt_and_score_refuse_a_variant_unlike_p0(capsys, corpus_dir, tmp_path):
+    # Each problem's p=1 question 0 loses its first sub-question key.
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    lines = []
+    for line in (ds / "records.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if (record["p"], record["question_index"]) == (1, 0):
+            record["subquestions"] = record["subquestions"][1:]
+        lines.append(json.dumps(record, ensure_ascii=False))
+    (ds / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    for argv in (
+        ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl")),
+        ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "ValueError"
+        assert diag["detail"].startswith("dataset for birds-x: variant p=1 question 0 ")
+    assert not (tmp_path / "prompts.jsonl").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[]", "record is a JSON list, not an object"),
+        ("{}", "record lacks field 'problems'"),
+        (
+            json.dumps({"problems": [{
+                "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+                "scores": [[[1, 0], [1]], [[1], [0]]], "answer_types": [["YN", "YN"], ["Other"]],
+            }]}),
+            "problem x1: variant p=1 has rows of [1, 1] scores, answer_types has [2, 1]",
+        ),
+    ],
+    ids=["bad-json", "list", "no-problems", "ragged"],
+)
+def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
+    scores = tmp_path / "scores.json"
+    scores.write_text(content, encoding="utf-8")
+    for argv in (
+        ("bootstrap", "--scores", str(scores), "--seed", "1"),
+        ("report", "--scores", str(scores), "--out", str(tmp_path / "report")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "detail": f"{scores}: {detail}"}
+
+
 def test_prompt_no_context_and_question_filter(capsys, corpus_dir, tmp_path):
     ds = tmp_path / "dataset"
     run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")

@@ -10,6 +10,7 @@ from lingobf.annotations import MARKERS
 from lingobf.corpus import (
     build_dataset,
     corpus_stats,
+    group_variants,
     load_corpus,
     load_dataset,
     stats_table,
@@ -66,6 +67,36 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
     meta.write_text(json.dumps(data), encoding="utf-8")
     _, report = load_corpus(tmp_path / "corpus")
     assert any("difficulty" in e for f in report.failures for e in f.errors)
+
+
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        ("meta.json", "[]", "meta.json: record is a JSON list, not an object"),
+        (
+            "meta.json",
+            '{"difficulty": "Foundation", "language": 5}',
+            "language.speakers must be a positive integer",
+        ),
+        ("answers.json", '[{"1": 5, "2": "x"}]', "answers.json: question 0 key '1': expected"),
+        (
+            "answers.json",
+            '[{"1": {"answer": "x", "alternates": 5}, "2": "x"}]',
+            "answers.json: question 0 key '1': expected",
+        ),
+        ("answers.json", '[["1", "2"]]', "answers.json: question 0 must be a JSON object"),
+    ],
+    ids=["meta-list", "language-number", "answer-number", "alternates-number", "question-list"],
+)
+def test_malformed_json_file_is_that_problems_load_failure(
+    tmp_path, corpus_dir, name, content, error
+):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    (tmp_path / "corpus" / "voicing-y" / name).write_text(content, encoding="utf-8")
+    loaded, report = load_corpus(tmp_path / "corpus")
+    assert [p.id for p in loaded] == ["birds-x", "rivers-z"]
+    assert [f.problem_id for f in report.failures] == ["voicing-y"]
+    assert report.failures[0].errors[0].startswith(error)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +277,52 @@ def test_load_dataset_names_a_bad_line(tmp_path, dataset, bad, error):
     path.write_text("\n".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=f"records.jsonl: {error}"):
         load_dataset(tmp_path)
+
+
+def test_group_variants_sorts_problem_then_p_then_question(dataset):
+    variants = group_variants(reversed(dataset.records))
+    assert [(v.problem_id, v.p) for v in variants] == sorted({(r.problem_id, r.p) for r in dataset})
+    for variant in variants:
+        assert [q.question_index for q in variant.questions] == list(range(len(variant.questions)))
+
+
+def _drop_first_key(record):
+    return dataclasses.replace(record, subquestions=record.subquestions[1:])
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (
+            lambda r: None if (r.problem_id, r.p) == ("birds-x", 3) else r,
+            r"dataset for birds-x: variants p=\[0, 1, 2, 4, 5, 6\] are not p=0..5",
+        ),
+        (
+            lambda r: None if r.prompt_id == "birds-x:p2:q1" else r,
+            "dataset for birds-x: variant p=2 lacks question 1, which p=0 has",
+        ),
+        (
+            lambda r: None if r.prompt_id == "birds-x:p0:q1" else r,
+            r"dataset for birds-x: variant p=1 question 1 has sub-question keys \['1'\], "
+            r"p=0 has \[\]",
+        ),
+        (
+            lambda r: dataclasses.replace(r, question_index=0)
+            if r.prompt_id == "rivers-z:p1:q1" else r,
+            "dataset for rivers-z: variant p=1 repeats a question index",
+        ),
+        (
+            lambda r: _drop_first_key(r) if r.prompt_id == "voicing-y:p1:q0" else r,
+            r"dataset for voicing-y: variant p=1 question 0 has sub-question keys \['2'\], "
+            r"p=0 has \['1', '2'\]",
+        ),
+    ],
+    ids=["p-gap", "question-missing", "question-extra", "question-repeated", "key-dropped"],
+)
+def test_group_variants_refuses_a_variant_unlike_p0(dataset, edit, error):
+    records = [r for r in map(edit, dataset) if r is not None]
+    with pytest.raises(ValueError, match=error):
+        group_variants(records)
 
 
 def test_manifest_maps_rederive_variants(tmp_path, corpus, dataset):

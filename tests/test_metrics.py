@@ -102,8 +102,8 @@ def all_correct_responses(dataset):
 
 def test_all_correct_run_scores_ones(dataset):
     responses = all_correct_responses(dataset)
-    tensor, report = score_run(responses, dataset)
-    assert report.missing_prompts == []
+    tensor, missing = score_run(responses, dataset)
+    assert missing == []
     for problem in tensor.problems:
         for perm in problem.scores:
             for row in perm:
@@ -114,8 +114,8 @@ def test_missing_record_scores_zero_and_is_reported(dataset):
     responses = all_correct_responses(dataset)
     dropped = "birds-x:p0:q1"
     del responses[dropped]
-    tensor, report = score_run(responses, dataset)
-    assert report.missing_prompts == [dropped]
+    tensor, missing = score_run(responses, dataset)
+    assert missing == [dropped]
     birds = next(p for p in tensor.problems if p.problem_id == "birds-x")
     assert birds.scores[0][1] == (0,)
     assert birds.scores[0][0] == (1, 1)

@@ -6,13 +6,13 @@ import json
 
 import pytest
 
+from lingobf.corpus import group_variants
 from lingobf.prompts import (
     INSTRUCTIONS,
     SYSTEM_MESSAGE,
     answer_skeleton,
     build_prompt,
     build_prompts,
-    group_variants,
     load_prompts,
     write_prompts,
 )
@@ -88,7 +88,7 @@ def test_no_context_removes_exactly_the_context_block(variants):
     ]
     removed = "".join(line[2:] for line in diff if line.startswith("- "))
     assert not any(line.startswith("+ ") for line in diff)
-    assert removed.rstrip("\n") == variant.context
+    assert removed.rstrip("\n") == variant.questions[0].context
 
 
 def test_guidance_inserted_before_instructions(variants):

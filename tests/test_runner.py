@@ -168,6 +168,13 @@ def test_custom_body_and_headers(monkeypatch):
     assert body == {"input": "question 1", "sys": "You are a helpful assistant."}
 
 
+def test_endpoint_config_names_the_file_and_an_unknown_key(tmp_path):
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"name": "e", "url": "http://x", "temprature": 0.5}))
+    with pytest.raises(ValueError, match=r"endpoint\.json: .* keyword argument 'temprature'"):
+        EndpointConfig.from_file(path)
+
+
 def test_missing_credential_is_an_error(monkeypatch):
     monkeypatch.delenv("NOPE_KEY", raising=False)
     endpoint = EndpointConfig(name="e", url="http://x", api_key_env="NOPE_KEY")
