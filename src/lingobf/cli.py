@@ -15,11 +15,11 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, corpus, metrics, prompts, runner, stats
+from . import __version__, corpus, jsonio, metrics, prompts, runner, stats
 
 
 def _diag(**payload) -> None:
-    print(json.dumps(payload, ensure_ascii=False, sort_keys=True), file=sys.stderr)
+    print(jsonio.dumps(payload), file=sys.stderr)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -43,11 +43,6 @@ def _load_corpus_or_fail(path: str, *, fold_case: bool = True) -> corpus.Corpus:
     if not report.ok:
         raise SystemExit(1)
     return loaded
-
-
-def _read_scores(path: str) -> metrics.ScoreTensor:
-    text = Path(path).read_text(encoding="utf-8")
-    return corpus.decode_json(path, text, metrics.ScoreTensor.from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +72,8 @@ def _cmd_sample(args) -> int:
         for p, pmap in enumerate(maps):
             if p == 0:
                 continue
-            print(
-                json.dumps(
-                    {
-                        "problem": problem.id,
-                        "p": p,
-                        "seed": pmap.seed,
-                        "pairs": pmap.pairs,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
+            payload = {"problem": problem.id, "p": p, "seed": pmap.seed, "pairs": pmap.pairs}
+            print(jsonio.dumps(payload))
     return 0
 
 
@@ -133,10 +118,7 @@ def _cmd_score(args) -> int:
     records, _manifest = corpus.load_dataset(args.dataset)
     responses = runner.read_records(args.run)
     tensor, missing = metrics.score_run(responses, records, case_sensitive=args.case_aware)
-    Path(args.out).write_text(
-        json.dumps(tensor.to_dict(), ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    jsonio.write_json(args.out, tensor.to_dict())
     for prompt_id in missing:
         _diag(missing_prompt=prompt_id)
     print(json.dumps({"problems": len(tensor.problems), "missing": len(missing)}, sort_keys=True))
@@ -144,7 +126,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
-    tensor = _read_scores(args.scores)
+    tensor = jsonio.read_json(args.scores, metrics.ScoreTensor.from_dict)
     result = stats.bootstrap(tensor, sets=args.sets, seed=args.seed)
     _emit(stats.histogram_csv(result, bins=args.bins), args.out)
     _diag(sets=result.sets, mean=result.mean if result.set_scores else None)
@@ -152,18 +134,14 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tensor = _read_scores(args.scores)
+    tensor = jsonio.read_json(args.scores, metrics.ScoreTensor.from_dict)
     report = metrics.aggregate(
         tensor, include_original_in_min=args.include_original_in_robust_min
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    (out_dir / "summary.json").write_text(
-        json.dumps(metrics.report_summary(report), ensure_ascii=False, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    jsonio.write_json(out_dir / "summary.json", metrics.report_summary(report))
     (out_dir / "per_problem.csv").write_text(
         metrics.per_problem_csv(report), encoding="utf-8"
     )
@@ -218,7 +196,8 @@ def _cmd_report(args) -> int:
         for item in args.compare:
             name, _, path = item.partition("=")
             reports[name] = metrics.aggregate(
-                _read_scores(path), include_original_in_min=args.include_original_in_robust_min
+                jsonio.read_json(path, metrics.ScoreTensor.from_dict),
+                include_original_in_min=args.include_original_in_robust_min,
             )
         (out_dir / "heatmap.csv").write_text(metrics.heatmap_csv(reports), encoding="utf-8")
 
@@ -329,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         TypeError,
         FileNotFoundError,
         RuntimeError,
-        json.JSONDecodeError,
     ) as exc:
         _diag(error=type(exc).__name__, detail=str(exc))
         return 1

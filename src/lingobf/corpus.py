@@ -26,21 +26,20 @@ bytes.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping
 
-from . import annotations
+from . import annotations, jsonio
 from .obfuscate import CompiledTexts
 from .rng import derive_seed
 from .rulesets import (
     PermutationMap,
     Ruleset,
     _norm,
-    load_ruleset,
+    ruleset_from_dict,
     sample_distinct,
     validate_ruleset,
 )
@@ -186,7 +185,10 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
         if not (path / name).is_file():
             raise ValueError(f"missing {name}")
 
-    meta = decode_json(META_FILE, (path / META_FILE).read_text(encoding="utf-8"), dict)
+    def read(name: str, decode, kind: type = dict):
+        return jsonio.decode_json(name, (path / name).read_text(encoding="utf-8"), decode, kind)
+
+    meta = read(META_FILE, dict)
     difficulty = meta.get("difficulty")
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}; expected one of {DIFFICULTIES}")
@@ -196,14 +198,12 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
         raise ValueError("language.speakers must be a positive integer")
     language = LanguageMeta(name=str(lang.get("name", "")), speakers=speakers)
 
-    ruleset = load_ruleset(path / RULESET_FILE)
+    ruleset = read(RULESET_FILE, ruleset_from_dict)
     issues = validate_ruleset(ruleset)
     if issues:
         raise ValueError("invalid ruleset: " + "; ".join(str(i) for i in issues))
 
-    raw_answers = json.loads((path / ANSWERS_FILE).read_text(encoding="utf-8"))
-    if not isinstance(raw_answers, list):
-        raise ValueError("answers.json must be a list with one object per question")
+    raw_answers = read(ANSWERS_FILE, list, list)
 
     text = _norm((path / PROBLEM_FILE).read_text(encoding="utf-8"))
     preamble_text, context_text, question_specs = _parse_problem_text(text)
@@ -299,7 +299,7 @@ def load_corpus(directory: str | Path, *, fold_case: bool = True) -> tuple[Corpu
     for path in candidates:
         try:
             problems.append(_load_problem(path, fold_case))
-        except (ValueError, KeyError, annotations.MarkerError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError) as exc:
             report.failures.append(LoadFailure(problem_id=path.name, errors=[str(exc)]))
     return Corpus(problems=tuple(problems), fold_case=fold_case), report
 
@@ -336,8 +336,8 @@ class DatasetRecord:
     def expected_keys(self) -> tuple[str, ...]:
         return tuple(key for key, _ in self.subquestions)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_VERSION,
             "problem_id": self.problem_id,
             "p": self.p,
@@ -351,11 +351,11 @@ class DatasetRecord:
             "answers": self.answers,
             "alternates": {k: list(v) for k, v in self.alternates.items() if v},
         }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetRecord":
-        return cls(
+        """The record ``to_dict`` wrote; ``ValueError`` if its answers miss or add a key."""
+        record = cls(
             problem_id=d["problem_id"],
             p=d["p"],
             question_index=d["question_index"],
@@ -368,6 +368,14 @@ class DatasetRecord:
             answers=dict(d["answers"]),
             alternates={k: tuple(v) for k, v in d.get("alternates", {}).items()},
         )
+        keys = {key for key, _ in record.subquestions}
+        if record.answers.keys() != keys or not record.alternates.keys() <= keys:
+            raise ValueError(
+                f"answers keys {sorted(record.answers)} or alternates keys "
+                f"{sorted(record.alternates)} are not the sub-question keys "
+                f"{list(record.expected_keys)}"
+            )
+        return record
 
 
 @dataclass(frozen=True)
@@ -488,7 +496,9 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
                             (key, rendered_docs[f"q{j}.sub.{key}"]) for key in golds
                         ),
                         answers={key: texts[0] for key, texts in golds.items()},
-                        alternates={key: tuple(texts[1:]) for key, texts in golds.items()},
+                        alternates={
+                            key: tuple(texts[1:]) for key, texts in golds.items() if texts[1:]
+                        },
                     )
                 )
     return Dataset(
@@ -515,7 +525,7 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
 
     records = dataset.records
     blocks = {
-        v.variant_id: "".join(r.to_json() + "\n" for r in v.questions)
+        v.variant_id: jsonio.encode_lines(r.to_dict() for r in v.questions)
         for v in group_variants(records)
     }
     (out_dir / "records.jsonl").write_text("".join(blocks.values()), encoding="utf-8")
@@ -536,49 +546,14 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
             vid: {"seed": pmap.seed, "pairs": pmap.pairs} for vid, pmap in dataset.maps.items()
         },
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    jsonio.write_json(out_dir / "manifest.json", manifest)
     return manifest
-
-
-_T = TypeVar("_T")
-
-
-def decode_json(where: str | Path, text: str, decode: Callable[[dict], _T]) -> _T:
-    """``decode`` of the JSON object ``text``; ``ValueError`` naming ``where`` if malformed."""
-    try:
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise ValueError(f"record is a JSON {type(d).__name__}, not an object")
-        return decode(d)
-    except KeyError as exc:
-        raise ValueError(f"{where}: record lacks field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-
-
-def decode_lines(path: Path, lines: Sequence[str], decode: Callable[[dict], _T]) -> list[_T]:
-    """``decode_json`` of every non-blank line of the JSON-lines file ``path``.
-
-    Callers split the file on LF only, never with ``str.splitlines``:
-    ``json.dumps(ensure_ascii=False)`` leaves U+2028 and the like raw inside
-    strings.  An error names the file and the 1-based line.
-    """
-    return [
-        decode_json(f"{path}: line {lineno}", line, decode)
-        for lineno, line in enumerate(lines, 1)
-        if line.strip()
-    ]
 
 
 def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    records_path = path / "records.jsonl"
-    lines = records_path.read_text(encoding="utf-8").split("\n")
-    return decode_lines(records_path, lines, DatasetRecord.from_dict), manifest
+    manifest = jsonio.read_json(path / "manifest.json", dict)
+    return jsonio.read_lines(path / "records.jsonl", DatasetRecord.from_dict), manifest
 
 
 # ---------------------------------------------------------------------------

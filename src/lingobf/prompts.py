@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import DatasetRecord, Variant, decode_lines, group_variants
+from . import jsonio
+from .corpus import DatasetRecord, Variant, group_variants
 
 SYSTEM_MESSAGE = "You are a helpful assistant."
 
@@ -52,23 +53,19 @@ class PromptInstance:
     no_context: bool = False
     guidance: str | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prompt_id": self.prompt_id,
-                "variant_id": self.variant_id,
-                "problem_id": self.problem_id,
-                "p": self.p,
-                "question_index": self.question_index,
-                "system": self.system_message,
-                "user": self.user_message,
-                "expected_keys": list(self.expected_keys),
-                "no_context": self.no_context,
-                "guidance": self.guidance,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "prompt_id": self.prompt_id,
+            "variant_id": self.variant_id,
+            "problem_id": self.problem_id,
+            "p": self.p,
+            "question_index": self.question_index,
+            "system": self.system_message,
+            "user": self.user_message,
+            "expected_keys": list(self.expected_keys),
+            "no_context": self.no_context,
+            "guidance": self.guidance,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "PromptInstance":
@@ -177,12 +174,9 @@ def build_prompts(
 
 
 def write_prompts(prompts: Sequence[PromptInstance], path: str | Path) -> None:
-    Path(path).write_text(
-        "".join(p.to_json() + "\n" for p in prompts), encoding="utf-8"
-    )
+    text = jsonio.encode_lines(p.to_dict() for p in prompts)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_prompts(path: str | Path) -> list[PromptInstance]:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").split("\n")
-    return decode_lines(path, lines, PromptInstance.from_dict)
+    return jsonio.read_lines(Path(path), PromptInstance.from_dict)

@@ -32,7 +32,6 @@ fixed set; its support is the smaller :func:`count_cycle_permutations`.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import unicodedata
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from . import jsonio
 from .rng import SplitMix64, derive_seed, shuffled, stream
 
 SCHEMA_VERSION = 1
@@ -104,7 +104,7 @@ class Ruleset:
         Computed once per instance; the dataclass is frozen, so the content
         it digests cannot change.
         """
-        payload = json.dumps(ruleset_to_dict(self), ensure_ascii=False, sort_keys=True)
+        payload = jsonio.dumps(ruleset_to_dict(self))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     @cached_property
@@ -489,13 +489,10 @@ def ruleset_to_dict(ruleset: Ruleset) -> dict:
 
 
 def load_ruleset(path: str | Path) -> Ruleset:
+    """The ruleset at ``path``; ``ValueError`` naming the file if it is malformed."""
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    return ruleset_from_dict(data, name=path.stem)
+    return jsonio.read_json(path, lambda d: ruleset_from_dict(d, name=path.stem))
 
 
 def save_ruleset(ruleset: Ruleset, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(ruleset_to_dict(ruleset), ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    jsonio.write_json(path, ruleset_to_dict(ruleset))

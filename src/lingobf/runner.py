@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .corpus import decode_json, decode_lines
+from . import jsonio
 from .prompts import PromptInstance
 
 STATUS_OK = "ok"
@@ -73,7 +73,7 @@ class EndpointConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EndpointConfig":
-        return decode_json(path, Path(path).read_text(encoding="utf-8"), lambda d: cls(**d))
+        return jsonio.read_json(path, lambda d: cls(**d))
 
     def default_body(self) -> dict:
         body: dict = {
@@ -261,20 +261,16 @@ class ResponseRecord:
     latency_ms: float
     timestamp: str
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prompt_id": self.prompt_id,
-                "status": self.status,
-                "raw_text": self.raw_text,
-                "parsed": self.parsed,
-                "attempts": self.attempts,
-                "latency_ms": self.latency_ms,
-                "timestamp": self.timestamp,
-            },
-            ensure_ascii=False,
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "prompt_id": self.prompt_id,
+            "status": self.status,
+            "raw_text": self.raw_text,
+            "parsed": self.parsed,
+            "attempts": self.attempts,
+            "latency_ms": self.latency_ms,
+            "timestamp": self.timestamp,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResponseRecord":
@@ -301,9 +297,7 @@ def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
     records: dict[str, ResponseRecord] = {}
     if not path.is_file():
         return records
-    # The last piece is "" after a final newline, else the torn tail.
-    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    for record in decode_lines(path, lines, ResponseRecord.from_dict):
+    for record in jsonio.read_lines(path, ResponseRecord.from_dict, torn_tail=True):
         records.setdefault(record.prompt_id, record)
     return records
 
@@ -389,15 +383,9 @@ def run(
         complete = data.rfind(b"\n") + 1
         if complete < len(data):
             os.truncate(records_path, complete)
-    (run_dir / "manifest.json").write_text(
-        json.dumps(
-            {"schema_version": 1, "endpoint": endpoint.name, "prompts": len(prompts)},
-            ensure_ascii=False,
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    jsonio.write_json(
+        run_dir / "manifest.json",
+        {"schema_version": 1, "endpoint": endpoint.name, "prompts": len(prompts)},
     )
 
     transport = transport or _http_transport
@@ -407,7 +395,7 @@ def run(
         record = _query_one(prompt, endpoint, transport)
         with lock:
             with records_path.open("a", encoding="utf-8") as fh:
-                fh.write(record.to_json() + "\n")
+                fh.write(jsonio.encode_lines([record.to_dict()]))
         return record.status
 
     statuses: list[str] = []
@@ -433,10 +421,8 @@ def run(
 def summarize_errors(run_dir: str | Path) -> dict:
     """Per-run response error counts: total / empty / bad parsing."""
     run_dir = Path(run_dir)
-    manifest = {}
     manifest_path = run_dir / "manifest.json"
-    if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest = jsonio.read_json(manifest_path, dict) if manifest_path.is_file() else {}
     records = read_records(run_dir)
     return {
         "endpoint": manifest.get("endpoint", run_dir.name),

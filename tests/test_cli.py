@@ -231,14 +231,16 @@ def test_fixture_chain_digests_are_pinned(capsys, corpus_dir, tmp_path):
 
 
 def test_prompt_and_score_refuse_a_variant_unlike_p0(capsys, corpus_dir, tmp_path):
-    # Each problem's p=1 question 0 loses its first sub-question key.
+    # Each problem's p=1 question 0 loses its first sub-question and that answer.
     ds = tmp_path / "dataset"
     run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
     lines = []
     for line in (ds / "records.jsonl").read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
         if (record["p"], record["question_index"]) == (1, 0):
-            record["subquestions"] = record["subquestions"][1:]
+            dropped = record["subquestions"].pop(0)["key"]
+            del record["answers"][dropped]
+            record["alternates"].pop(dropped, None)
         lines.append(json.dumps(record, ensure_ascii=False))
     (ds / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / "run").mkdir()
@@ -252,6 +254,80 @@ def test_prompt_and_score_refuse_a_variant_unlike_p0(capsys, corpus_dir, tmp_pat
         assert diag["error"] == "ValueError"
         assert diag["detail"].startswith("dataset for birds-x: variant p=1 question 0 ")
     assert not (tmp_path / "prompts.jsonl").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (
+            lambda record: record["answers"].pop(next(iter(record["answers"]))),
+            "answers keys ['2'] or alternates keys [] are not the sub-question keys ['1', '2']",
+        ),
+        (
+            lambda record: record["alternates"].update({"9": ["x"]}),
+            "answers keys ['1', '2'] or alternates keys ['9'] are not the sub-question keys "
+            "['1', '2']",
+        ),
+        (lambda record: record.update(alternates=[]), "'list' object has no attribute 'items'"),
+    ],
+    ids=["answer-missing", "alternate-unknown", "alternates-list"],
+)
+def test_prompt_and_score_name_a_malformed_record_line(
+    capsys, corpus_dir, tmp_path, edit, detail
+):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    first, rest = (ds / "records.jsonl").read_text(encoding="utf-8").split("\n", 1)
+    record = json.loads(first)
+    edit(record)
+    (ds / "records.jsonl").write_text(json.dumps(record) + "\n" + rest, encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    for argv in (
+        ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl")),
+        ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": f"{ds / 'records.jsonl'}: line 1: {detail}",
+        }
+
+
+def test_prompt_and_score_name_a_malformed_dataset_manifest(capsys, corpus_dir, tmp_path):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    (ds / "manifest.json").write_text("{oops", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    for argv in (
+        ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl")),
+        ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["detail"].startswith(f"{ds / 'manifest.json'}: Expecting ")
+
+
+@pytest.mark.parametrize(
+    "content, detail",
+    [("[]", "record is a JSON list, not an object"), ("{oops", "Expecting property name")],
+    ids=["list", "bad-json"],
+)
+def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail):
+    scores = tmp_path / "scores.json"
+    tensor = {"problems": [{
+        "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+        "scores": [[[1]]], "answer_types": [["YN"]],
+    }]}
+    scores.write_text(json.dumps(tensor), encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "manifest.json").write_text(content, encoding="utf-8")
+    argv = ("report", "--scores", str(scores), "--out", str(tmp_path / "report"))
+    code, out, err = run_cli(capsys, *argv, "--run", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "ValueError"
+    assert diag["detail"].startswith(f"{tmp_path / 'run' / 'manifest.json'}: {detail}")
 
 
 @pytest.mark.parametrize(

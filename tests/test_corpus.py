@@ -85,8 +85,30 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
             "answers.json: question 0 key '1': expected",
         ),
         ("answers.json", '[["1", "2"]]', "answers.json: question 0 must be a JSON object"),
+        ("answers.json", '{"1": "x"}', "answers.json: record is a JSON dict, not a list"),
+        ("answers.json", "[{oops", "answers.json: Expecting property name"),
+        ("ruleset.json", "[]", "ruleset.json: record is a JSON list, not an object"),
+        ("ruleset.json", '{"sets": 5}', "ruleset.json: 'int' object is not iterable"),
+        (
+            "ruleset.json",
+            '{"tables": [{"cols": []}]}',
+            "ruleset.json: record lacks field 'columns'",
+        ),
+        ("ruleset.json", "{oops", "ruleset.json: Expecting property name"),
     ],
-    ids=["meta-list", "language-number", "answer-number", "alternates-number", "question-list"],
+    ids=[
+        "meta-list",
+        "language-number",
+        "answer-number",
+        "alternates-number",
+        "question-list",
+        "answers-object",
+        "answers-bad-json",
+        "ruleset-list",
+        "sets-number",
+        "table-without-columns",
+        "ruleset-bad-json",
+    ],
 )
 def test_malformed_json_file_is_that_problems_load_failure(
     tmp_path, corpus_dir, name, content, error
@@ -204,7 +226,7 @@ def test_build_dataset_deterministic_bytes(corpus, tmp_path):
 def test_different_seed_different_dataset(corpus):
     a = build_dataset(corpus, per_problem=6, seed=7)
     b = build_dataset(corpus, per_problem=6, seed=8)
-    assert [r.to_json() for r in a] != [r.to_json() for r in b]
+    assert [r.to_dict() for r in a] != [r.to_dict() for r in b]
 
 
 def test_same_map_consistency(corpus, dataset):
@@ -245,7 +267,7 @@ def test_identity_variant_matches_unobfuscated_render(dataset):
 def test_dataset_round_trip(tmp_path, corpus, dataset):
     manifest = write_dataset(dataset, tmp_path / "ds")
     loaded, manifest_again = load_dataset(tmp_path / "ds")
-    assert [r.to_json() for r in loaded] == [r.to_json() for r in dataset]
+    assert loaded == list(dataset)
     assert manifest_again == manifest
     assert manifest["pairs"] == 48
     assert set(manifest["digests"]) == {r.variant_id for r in dataset}

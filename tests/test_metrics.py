@@ -154,12 +154,6 @@ def test_variant_missing_a_question_is_a_value_error(dataset):
         score_run({}, records)
 
 
-def test_tensor_serialization_round_trip(dataset):
-    tensor, _ = score_run(all_correct_responses(dataset), dataset)
-    again = ScoreTensor.from_dict(json.loads(json.dumps(tensor.to_dict())))
-    assert again == tensor
-
-
 # ---------------------------------------------------------------------------
 # Aggregation: hand-computed fixture
 
