@@ -10,12 +10,12 @@ machine-readable JSON on stderr.  Exit codes: 0 success, 1 data error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import __version__, corpus, jsonio, metrics, prompts, runner, stats
+from . import __version__, annotations, corpus, jsonio, metrics, prompts, runner, stats
 
 
 def _diag(**payload) -> None:
@@ -51,15 +51,23 @@ def _load_corpus_or_fail(path: str, *, fold_case: bool = True) -> corpus.Corpus:
 
 def _cmd_validate(args) -> int:
     loaded, report = _load_corpus(args.corpus)
-    print(
-        json.dumps(
-            {
-                "problems_ok": len(loaded.problems),
-                "problems_failed": len(report.failures),
-            },
-            sort_keys=True,
-        )
-    )
+    subs = [
+        (problem, sub) for problem in loaded for q in problem.questions for sub in q.subquestions
+    ]
+    # A sub-question's answer type is that of its p = 0 gold, which the
+    # identity map renders exactly as the grammar does.
+    summary = {
+        "problems_ok": len(loaded.problems),
+        "problems_failed": len(report.failures),
+        "questions": sum(len(problem.questions) for problem in loaded),
+        "subquestions": len(subs),
+        "subquestions_by_difficulty": Counter(problem.difficulty for problem, _ in subs),
+        "subquestions_by_answer_type": Counter(
+            metrics.answer_type(annotations.render(annotations.parse(sub.answer)))
+            for _, sub in subs
+        ),
+    }
+    print(jsonio.dumps(summary))
     return 0 if report.ok else 1
 
 
@@ -81,12 +89,7 @@ def _cmd_generate(args) -> int:
     loaded = _load_corpus_or_fail(args.corpus, fold_case=args.case_aware)
     dataset = corpus.build_dataset(loaded, per_problem=args.per_problem, seed=args.seed)
     manifest = corpus.write_dataset(dataset, args.out)
-    print(
-        json.dumps(
-            {k: manifest[k] for k in ("problems", "variants", "records", "pairs")},
-            sort_keys=True,
-        )
-    )
+    print(jsonio.dumps({k: manifest[k] for k in ("problems", "variants", "records", "pairs")}))
     return 0
 
 
@@ -100,7 +103,7 @@ def _cmd_prompt(args) -> int:
         guidance=guidance,
     )
     prompts.write_prompts(built, args.out)
-    print(json.dumps({"prompts": len(built), "out": args.out}, sort_keys=True))
+    print(jsonio.dumps({"prompts": len(built), "out": args.out}))
     return 0
 
 
@@ -110,7 +113,7 @@ def _cmd_run(args) -> int:
     summary = runner.run(
         prompt_list, endpoint, args.out, parallelism=args.parallelism
     )
-    print(json.dumps(summary, sort_keys=True))
+    print(jsonio.dumps(summary))
     return 0
 
 
@@ -121,7 +124,7 @@ def _cmd_score(args) -> int:
     jsonio.write_json(args.out, tensor.to_dict())
     for prompt_id in missing:
         _diag(missing_prompt=prompt_id)
-    print(json.dumps({"problems": len(tensor.problems), "missing": len(missing)}, sort_keys=True))
+    print(jsonio.dumps({"problems": len(tensor.problems), "missing": len(missing)}))
     return 0
 
 
@@ -134,17 +137,17 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    tensor = jsonio.read_json(args.scores, metrics.ScoreTensor.from_dict)
-    report = metrics.aggregate(
-        tensor, include_original_in_min=args.include_original_in_robust_min
-    )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Read every input, then build every text, and only then write, so a bad
+    # input leaves no partial report behind.
+    def aggregate(path: str) -> metrics.MetricsReport:
+        return metrics.aggregate(
+            jsonio.read_json(path, metrics.ScoreTensor.from_dict),
+            include_original_in_min=args.include_original_in_robust_min,
+        )
 
-    jsonio.write_json(out_dir / "summary.json", metrics.report_summary(report))
-    (out_dir / "per_problem.csv").write_text(
-        metrics.per_problem_csv(report), encoding="utf-8"
-    )
+    report = aggregate(args.scores)
+    run_errors = runner.summarize_errors(args.run) if args.run else None
+    compared = {name: aggregate(path) for name, path in args.compare or ()}
 
     points = [
         (pm.difficulty, math.log10(pm.speakers), pm.delta)
@@ -153,7 +156,6 @@ def _cmd_report(args) -> int:
     ]
     points += [("All", x, y) for _, x, y in points]
     fits, skipped = stats.fit_groups(points)
-    (out_dir / "regression.csv").write_text(stats.regression_csv(fits), encoding="utf-8")
     for label, reason in skipped.items():
         _diag(regression_group=label, skipped=reason)
 
@@ -186,23 +188,31 @@ def _cmd_report(args) -> int:
         og = "n/a" if row["og"] is None else f"{row['og']:.4f}"
         obf = "n/a" if row["obf"] is None else f"{row['obf']:.4f}"
         lines.append(f"| {a_type} | {og} | {obf} |")
-    if args.run:
-        summary = runner.summarize_errors(args.run)
-        lines += ["", "## Response errors", "", runner.error_summary_table([summary])]
-    (out_dir / "summary.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if run_errors is not None:
+        lines += ["", "## Response errors", "", runner.error_summary_table([run_errors])]
 
-    if args.compare:
-        reports = {}
-        for item in args.compare:
-            name, _, path = item.partition("=")
-            reports[name] = metrics.aggregate(
-                jsonio.read_json(path, metrics.ScoreTensor.from_dict),
-                include_original_in_min=args.include_original_in_robust_min,
-            )
-        (out_dir / "heatmap.csv").write_text(metrics.heatmap_csv(reports), encoding="utf-8")
+    texts = {
+        "per_problem.csv": metrics.per_problem_csv(report),
+        "regression.csv": stats.regression_csv(fits),
+        "summary.md": "\n".join(lines) + "\n",
+    }
+    if compared:
+        texts["heatmap.csv"] = metrics.heatmap_csv(compared)
 
-    print(json.dumps({"out": str(out_dir)}, sort_keys=True))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    jsonio.write_json(out_dir / "summary.json", metrics.report_summary(report))
+    for name, text in texts.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    print(jsonio.dumps({"out": str(out_dir)}))
     return 0
+
+
+def _name_and_path(value: str) -> tuple[str, str]:
+    name, _, path = value.partition("=")
+    if not (name and path):
+        raise argparse.ArgumentTypeError(f"expected NAME=SCORES.json, got {value!r}")
+    return name, path
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--compare",
         action="append",
+        type=_name_and_path,
         help="NAME=SCORES.json; repeat to emit a problems-x-models delta heatmap",
     )
     p.set_defaults(fn=_cmd_report)

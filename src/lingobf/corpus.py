@@ -15,12 +15,12 @@ next directive, with surrounding blank lines trimmed.  ``answers.json``
 values are either a plain string or ``{"answer": ..., "alternates":
 [...]}``; answers may themselves contain ``@@@...@@@`` spans.
 
-The language *name* in meta.json is never emitted into dataset records or
-prompts; only the speaker count travels (it feeds the resourcedness
-regression).  Datasets are line-delimited records, one question of one
-variant per line, plus a manifest carrying the generation parameters and
-per-variant content digests, so identical inputs reproduce identical
-bytes.
+The language *name* in meta.json is accepted but never read, so it cannot
+reach dataset records or prompts; only the speaker count travels (it feeds
+the resourcedness regression).  Datasets are line-delimited records, one
+question of one variant per line, plus a manifest carrying the generation
+parameters and per-variant content digests, so identical inputs reproduce
+identical bytes.
 """
 
 from __future__ import annotations
@@ -69,16 +69,10 @@ class Question:
 
 
 @dataclass(frozen=True)
-class LanguageMeta:
-    name: str
-    speakers: int
-
-
-@dataclass(frozen=True)
 class Problem:
     id: str
     difficulty: str
-    language: LanguageMeta
+    speakers: int
     preamble: annotations.AnnotatedDocument
     context: annotations.AnnotatedDocument
     questions: tuple[Question, ...]
@@ -196,7 +190,6 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
     speakers = lang.get("speakers") if isinstance(lang, dict) else None
     if not isinstance(speakers, int) or speakers <= 0:
         raise ValueError("language.speakers must be a positive integer")
-    language = LanguageMeta(name=str(lang.get("name", "")), speakers=speakers)
 
     ruleset = read(RULESET_FILE, ruleset_from_dict)
     issues = validate_ruleset(ruleset)
@@ -256,7 +249,7 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
     problem = Problem(
         id=path.name,
         difficulty=difficulty,
-        language=language,
+        speakers=speakers,
         preamble=annotations.parse(preamble_text),
         context=annotations.parse(context_text),
         questions=tuple(questions),
@@ -488,7 +481,7 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
                         p=p,
                         question_index=j,
                         difficulty=problem.difficulty,
-                        speakers=problem.language.speakers,
+                        speakers=problem.speakers,
                         preamble=rendered_docs["preamble"],
                         context=rendered_docs["context"],
                         body=rendered_docs[f"q{j}.body"],
@@ -554,74 +547,3 @@ def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:
     path = Path(path)
     manifest = jsonio.read_json(path / "manifest.json", dict)
     return jsonio.read_lines(path / "records.jsonl", DatasetRecord.from_dict), manifest
-
-
-# ---------------------------------------------------------------------------
-# Stats
-
-
-def corpus_stats(source: Corpus | Iterable[DatasetRecord]) -> dict:
-    """(sub-question, answer) pair counts by difficulty and answer type.
-
-    For a Corpus the obfuscated column is zero (nothing generated yet);
-    for dataset records pairs split into p=0 and p>=1 columns.
-    Percentages are shares of the column total.
-    """
-    from .metrics import answer_type
-
-    by_level = {level: [0, 0] for level in DIFFICULTIES}
-    by_type: dict[str, list[int]] = {}
-
-    def add(level: str, a_type: str, obfuscated: bool, count: int = 1) -> None:
-        col = 1 if obfuscated else 0
-        by_level[level][col] += count
-        by_type.setdefault(a_type, [0, 0])[col] += count
-
-    if isinstance(source, Corpus):
-        for problem in source.problems:
-            for q in problem.questions:
-                for sub in q.subquestions:
-                    gold = annotations.render(annotations.parse(sub.answer))
-                    add(problem.difficulty, answer_type(gold), obfuscated=False)
-    else:
-        for record in source:
-            for key, gold in record.answers.items():
-                add(record.difficulty, answer_type(gold), obfuscated=record.p > 0)
-
-    def table(counts: Mapping[str, list[int]]) -> dict:
-        totals = [
-            sum(v[0] for v in counts.values()),
-            sum(v[1] for v in counts.values()),
-        ]
-        rows = {}
-        for name, (unobf, obf) in counts.items():
-            rows[name] = {
-                "unobfuscated": unobf,
-                "unobfuscated_pct": round(100 * unobf / totals[0], 1) if totals[0] else 0.0,
-                "obfuscated": obf,
-                "obfuscated_pct": round(100 * obf / totals[1], 1) if totals[1] else 0.0,
-            }
-        rows["Total"] = {
-            "unobfuscated": totals[0],
-            "unobfuscated_pct": 100.0 if totals[0] else 0.0,
-            "obfuscated": totals[1],
-            "obfuscated_pct": 100.0 if totals[1] else 0.0,
-        }
-        return rows
-
-    return {"by_difficulty": table(by_level), "by_answer_type": table(by_type)}
-
-
-def stats_table(stats: dict, section: str = "by_difficulty") -> str:
-    """Markdown rendering of a corpus_stats section."""
-    rows = stats[section]
-    lines = [
-        "| Level | Unobfuscated | Obfuscated |",
-        "| --- | --- | --- |",
-    ]
-    for name, row in rows.items():
-        lines.append(
-            f"| {name} | {row['unobfuscated']} ({row['unobfuscated_pct']}%) "
-            f"| {row['obfuscated']} ({row['obfuscated_pct']}%) |"
-        )
-    return "\n".join(lines)

@@ -263,17 +263,3 @@ class CompiledTexts:
             {key: "".join(map(lookup, slots)) for key, slots in self._answers.items()},
         )
 
-
-def obfuscate_variant(
-    documents: Mapping[str, annotations.AnnotatedDocument],
-    answers: Mapping[str, str],
-    pmap: PermutationMap,
-    ruleset: Ruleset,
-    *,
-    fold_case: bool = True,
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Render all documents and answer strings with the same map.
-
-    Compiles the texts and renders them once; see :class:`CompiledTexts`.
-    """
-    return CompiledTexts(documents, answers, ruleset, fold_case=fold_case).render(pmap)

@@ -85,7 +85,6 @@ class Ruleset:
     sets: tuple[tuple[str, ...], ...] = ()
     tables: tuple[Table, ...] = ()
     free_tables: tuple[FreeTable, ...] = ()
-    name: str | None = field(default=None, compare=False)
 
     @property
     def inventory(self) -> tuple[str, ...]:
@@ -154,10 +153,6 @@ class PermutationMap:
 
     def __call__(self, grapheme: str) -> str:
         return self.pairs.get(grapheme, grapheme)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(src == img for src, img in self.pairs.items())
 
     def key(self) -> tuple[tuple[str, str], ...]:
         """Canonical content key, independent of generation seed."""
@@ -359,8 +354,9 @@ def sample_distinct(ruleset: Ruleset, n: int, seed: int) -> list[PermutationMap]
     """Up to ``n`` pairwise-distinct sampled maps, deterministic in inputs.
 
     Validates the ruleset once, draws what sample_permutation would under
-    derived sub-seeds, and drops duplicates by content.  Returns min(n, support size) maps; a short list signals
-    that the ruleset admits fewer distinct permutations than requested.
+    derived sub-seeds, and drops duplicates by content.  Returns min(n,
+    support size) maps; a short list signals that the ruleset admits fewer
+    distinct permutations than requested.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -443,30 +439,49 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
 # Serialization
 
 
-def ruleset_from_dict(data: dict, *, name: str | None = None) -> Ruleset:
+def _list(value, field: str):
+    """``value``, where the schema has a list; ``ValueError`` naming ``field`` if a string.
+
+    Iterating a bare string would silently read it as a list of its characters.
+    """
+    if isinstance(value, str):
+        raise ValueError(f"{field} must be a list, not the string {value!r}")
+    return value
+
+
+def ruleset_from_dict(data: dict) -> Ruleset:
     """Build a (normalized) Ruleset from the documented JSON shape.
 
     Free-table column entries may be a bare string (singleton cell) or an
-    array of strings.  All grapheme text is NFC-normalized on ingest.
+    array of strings; a bare string anywhere else the schema has an array
+    raises ``ValueError`` naming the field.  All grapheme text is
+    NFC-normalized on ingest.
     """
-    fixed = tuple(_norm(g) for g in data.get("fixed", ()))
-    sets = tuple(tuple(_norm(g) for g in s) for s in data.get("sets", ()))
-    tables = tuple(
-        Table(columns=tuple(tuple(_norm(g) for g in col) for col in t["columns"]))
-        for t in data.get("tables", ())
-    )
-    free_tables = []
-    for ft in data.get("free_tables", ()):
-        columns = []
-        for col in ft["columns"]:
-            cells = tuple(
-                (_norm(entry),) if isinstance(entry, str) else tuple(_norm(g) for g in entry)
-                for entry in col
-            )
-            columns.append(cells)
-        free_tables.append(FreeTable(columns=tuple(columns)))
+
+    def graphemes(value, field: str) -> tuple[str, ...]:
+        return tuple(_norm(g) for g in _list(value, field))
+
+    def cell(entry) -> tuple[str, ...]:
+        return (_norm(entry),) if isinstance(entry, str) else tuple(_norm(g) for g in entry)
+
+    def columns(kind: str) -> Iterator[list[tuple[str, list]]]:
+        """(field name, column) of every column, for each table of ``kind``."""
+        for i, table in enumerate(data.get(kind, ())):
+            where = f"{kind}[{i}].columns"
+            yield [(f"{where}[{c}]", col) for c, col in enumerate(_list(table["columns"], where))]
+
+    sets = _list(data.get("sets", ()), "sets")
     return Ruleset(
-        fixed=fixed, sets=sets, tables=tables, free_tables=tuple(free_tables), name=name
+        fixed=graphemes(data.get("fixed", ()), "fixed"),
+        sets=tuple(graphemes(s, f"sets[{i}]") for i, s in enumerate(sets)),
+        tables=tuple(
+            Table(columns=tuple(graphemes(col, where) for where, col in cols))
+            for cols in columns("tables")
+        ),
+        free_tables=tuple(
+            FreeTable(columns=tuple(tuple(map(cell, _list(col, where))) for where, col in cols))
+            for cols in columns("free_tables")
+        ),
     )
 
 
@@ -490,9 +505,4 @@ def ruleset_to_dict(ruleset: Ruleset) -> dict:
 
 def load_ruleset(path: str | Path) -> Ruleset:
     """The ruleset at ``path``; ``ValueError`` naming the file if it is malformed."""
-    path = Path(path)
-    return jsonio.read_json(path, lambda d: ruleset_from_dict(d, name=path.stem))
-
-
-def save_ruleset(ruleset: Ruleset, path: str | Path) -> None:
-    jsonio.write_json(path, ruleset_to_dict(ruleset))
+    return jsonio.read_json(path, ruleset_from_dict)

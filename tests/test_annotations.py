@@ -17,7 +17,7 @@ from lingobf.annotations import (
     serialize,
     unescape,
 )
-from lingobf.obfuscate import CompiledTexts, CoverageError, CoverageGap, obfuscate_variant
+from lingobf.obfuscate import CompiledTexts, CoverageError, CoverageGap
 from lingobf.rulesets import PermutationMap, Ruleset
 
 # Annotated extracts in the documented style: name tags, removed context,
@@ -151,7 +151,7 @@ def test_parse_never_hangs_or_misroundtrips(text):
 # Rendering
 
 
-# Obfuscation (obfuscate_variant) agrees with the grammar's plain render.
+# The compiled render (CompiledTexts) agrees with the grammar's plain render.
 
 AE_RULESET = Ruleset(sets=(("a", "e"),), fixed=("k", "r"))
 AE_SWAP = PermutationMap(pairs={"a": "e", "e": "a"}, ruleset_id=AE_RULESET.ident)
@@ -161,7 +161,8 @@ def test_render_identity_strips_markers():
     doc = parse("@@@aker@@@ to steal")
     identity = PermutationMap.identity(AE_RULESET)
     assert render(doc) == "aker to steal"
-    assert obfuscate_variant({"d": doc}, {}, identity, AE_RULESET) == ({"d": "aker to steal"}, {})
+    compiled = CompiledTexts({"d": doc}, {}, AE_RULESET)
+    assert compiled.render(identity) == ({"d": "aker to steal"}, {})
 
 
 def test_render_removed_context_is_single_space():
@@ -171,7 +172,8 @@ def test_render_removed_context_is_single_space():
 
 def test_render_applies_map_to_problemese_only():
     doc = parse("@@@aker@@@ area")
-    assert obfuscate_variant({"d": doc}, {}, AE_SWAP, AE_RULESET) == ({"d": "ekar area"}, {})
+    compiled = CompiledTexts({"d": doc}, {}, AE_RULESET)
+    assert compiled.render(AE_SWAP) == ({"d": "ekar area"}, {})
 
 
 def test_render_identity_equals_render_absent(corpus):
@@ -184,7 +186,7 @@ def test_render_identity_equals_render_absent(corpus):
             for s in q.subquestions:
                 docs[f"q{j}.sub.{s.key}"] = s.text
                 answers[f"q{j}.{s.key}"] = s.answer
-        assert obfuscate_variant(docs, answers, identity, problem.ruleset) == (
+        assert CompiledTexts(docs, answers, problem.ruleset).render(identity) == (
             {name: render(doc) for name, doc in docs.items()},
             {key: render(parse(raw)) for key, raw in answers.items()},
         )

@@ -21,9 +21,18 @@ def run_cli(capsys, *argv):
 
 
 def test_validate_clean_corpus(capsys, corpus_dir):
+    # The corpus statistics count sub-questions by difficulty and by the
+    # answer type of their p = 0 gold, listing only the non-zero keys.
     code, out, err = run_cli(capsys, "validate", str(corpus_dir))
     assert code == 0
-    assert json.loads(out)["problems_ok"] == 3
+    assert json.loads(out) == {
+        "problems_ok": 3,
+        "problems_failed": 0,
+        "questions": 5,
+        "subquestions": 8,
+        "subquestions_by_difficulty": {"Breakthrough": 3, "Intermediate": 2, "Round2": 3},
+        "subquestions_by_answer_type": {"Other": 6, "Digit": 1, "YN": 1},
+    }
 
 
 def test_validate_broken_corpus_exits_1(capsys, tmp_path, corpus_dir):
@@ -328,6 +337,13 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
     diag = json.loads(err)
     assert diag["error"] == "ValueError"
     assert diag["detail"].startswith(f"{tmp_path / 'run' / 'manifest.json'}: {detail}")
+    # Every input is read before any file is written.
+    assert not (tmp_path / "report").exists()
+    # A --compare value without NAME= is a usage error, refused before any write.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--compare", "foo"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize(

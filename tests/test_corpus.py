@@ -7,13 +7,12 @@ import shutil
 import pytest
 
 from lingobf.annotations import MARKERS
+from lingobf.cli import main
 from lingobf.corpus import (
     build_dataset,
-    corpus_stats,
     group_variants,
     load_corpus,
     load_dataset,
-    stats_table,
     variant_maps,
     write_dataset,
 )
@@ -95,6 +94,33 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
             "ruleset.json: record lacks field 'columns'",
         ),
         ("ruleset.json", "{oops", "ruleset.json: Expecting property name"),
+        ("ruleset.json", '{"fixed": "sh"}', "ruleset.json: fixed must be a list, not the string"),
+        ("ruleset.json", '{"sets": "ab"}', "ruleset.json: sets must be a list, not the string"),
+        (
+            "ruleset.json",
+            '{"sets": [["p", "b"], "abc"]}',
+            "ruleset.json: sets[1] must be a list, not the string 'abc'",
+        ),
+        (
+            "ruleset.json",
+            '{"tables": [{"columns": "pb"}]}',
+            "ruleset.json: tables[0].columns must be a list, not the string 'pb'",
+        ),
+        (
+            "ruleset.json",
+            '{"tables": [{"columns": [["p"], "b"]}]}',
+            "ruleset.json: tables[0].columns[1] must be a list, not the string 'b'",
+        ),
+        (
+            "ruleset.json",
+            '{"free_tables": [{"columns": "pb"}]}',
+            "ruleset.json: free_tables[0].columns must be a list, not the string 'pb'",
+        ),
+        (
+            "ruleset.json",
+            '{"free_tables": [{"columns": [["p"], "b"]}]}',
+            "ruleset.json: free_tables[0].columns[1] must be a list, not the string 'b'",
+        ),
     ],
     ids=[
         "meta-list",
@@ -108,6 +134,13 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         "sets-number",
         "table-without-columns",
         "ruleset-bad-json",
+        "fixed-string",
+        "sets-string",
+        "set-string",
+        "table-columns-string",
+        "table-column-string",
+        "free-table-columns-string",
+        "free-table-column-string",
     ],
 )
 def test_malformed_json_file_is_that_problems_load_failure(
@@ -162,7 +195,7 @@ def test_per_problem_zero_gives_originals_only(corpus):
 def _synthetic_corpus():
     """Two problems x two questions x two subquestions, ample map support."""
     from lingobf.annotations import parse
-    from lingobf.corpus import Corpus, LanguageMeta, Problem, Question, Subquestion
+    from lingobf.corpus import Corpus, Problem, Question, Subquestion
     from lingobf.rulesets import Ruleset
 
     ruleset = Ruleset(sets=(("a", "e", "i", "o", "u", "m", "t"),))
@@ -181,7 +214,7 @@ def _synthetic_corpus():
         Problem(
             id=f"synth-{i}",
             difficulty="Breakthrough",
-            language=LanguageMeta(name=f"L{i}", speakers=100),
+            speakers=100,
             preamble=parse("A preamble."),
             context=parse(f"@@@{words[i][0]}@@@ one"),
             questions=(question(words[i][:2]), question(words[i][2:])),
@@ -197,19 +230,6 @@ def test_pair_accounting_two_by_two_by_two():
     # (1 + 6) * 4 pairs per problem = 56 total.
     records = build_dataset(_synthetic_corpus(), per_problem=6, seed=1)
     assert sum(len(r.subquestions) for r in records) == 56
-
-
-def test_stats_example_counts():
-    # A Breakthrough problem with 4 pairs and 2 permutations contributes
-    # 4 unobfuscated and 8 obfuscated pairs.
-    from lingobf.corpus import Corpus
-
-    corpus = _synthetic_corpus()
-    one_problem = Corpus(problems=corpus.problems[:1])
-    stats = corpus_stats(build_dataset(one_problem, per_problem=2, seed=1))
-    row = stats["by_difficulty"]["Breakthrough"]
-    assert row["unobfuscated"] == 4
-    assert row["obfuscated"] == 8
 
 
 def test_build_dataset_deterministic_bytes(corpus, tmp_path):
@@ -245,8 +265,12 @@ def test_same_map_consistency(corpus, dataset):
             assert rendered == record.answers[sub.key]
 
 
-def test_no_leakage_in_prompt_facing_fields(corpus, dataset):
-    names = {p.language.name for p in corpus.problems}
+def test_no_leakage_in_prompt_facing_fields(corpus_dir, dataset):
+    names = {
+        json.loads(meta.read_text(encoding="utf-8"))["language"]["name"]
+        for meta in corpus_dir.glob("*/meta.json")
+    }
+    assert len(names) == 3
     for record in dataset:
         fields = [record.preamble, record.context, record.body]
         fields.extend(text for _, text in record.subquestions)
@@ -398,44 +422,36 @@ def test_manifest_records_the_build_parameters(tmp_path, corpus_dir):
     assert set(manifest["maps"]) == {r.variant_id for r in dataset if r.p > 0}
 
 
-# ---------------------------------------------------------------------------
-# Stats
+def _validate_stats(capsys, corpus_dir):
+    code = main(["validate", str(corpus_dir)])
+    return code, json.loads(capsys.readouterr().out)
 
 
-def test_stats_on_dataset(dataset):
-    stats = corpus_stats(dataset)
-    levels = stats["by_difficulty"]
-    assert levels["Breakthrough"]["unobfuscated"] == 3
-    assert levels["Breakthrough"]["obfuscated"] == 18
-    assert levels["Intermediate"]["obfuscated"] == 4
-    assert levels["Round2"]["obfuscated"] == 18
-    assert levels["Total"]["unobfuscated"] == 8
-    assert levels["Total"]["obfuscated"] == 40
+def test_stats_on_corpus(capsys, tmp_path, corpus_dir):
+    code, stats = _validate_stats(capsys, corpus_dir)
+    assert code == 0
+    assert stats["subquestions"] == 8
+    assert stats["subquestions_by_answer_type"] == {"Digit": 1, "YN": 1, "Other": 6}
+    # A problem that fails to load contributes nothing to the statistics.
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    bad = tmp_path / "corpus" / "birds-x" / "problem.txt"
+    bad.write_text(bad.read_text(encoding="utf-8").replace("@@@pek@@@", "@@@pequx@@@"), encoding="utf-8")
+    code, stats = _validate_stats(capsys, tmp_path / "corpus")
+    assert code == 1
+    assert (stats["problems_ok"], stats["problems_failed"]) == (2, 1)
+    assert (stats["questions"], stats["subquestions"]) == (3, 5)
+    assert stats["subquestions_by_difficulty"] == {"Intermediate": 2, "Round2": 3}
+    assert stats["subquestions_by_answer_type"] == {"Other": 4, "YN": 1}
 
 
-def test_stats_percentages_sum(dataset):
-    stats = corpus_stats(dataset)
-    for section in ("by_difficulty", "by_answer_type"):
-        rows = {k: v for k, v in stats[section].items() if k != "Total"}
-        for column in ("unobfuscated_pct", "obfuscated_pct"):
-            assert sum(row[column] for row in rows.values()) == pytest.approx(100, abs=0.5)
-
-
-def test_stats_on_corpus(corpus):
-    stats = corpus_stats(corpus)
-    assert stats["by_difficulty"]["Total"]["unobfuscated"] == 8
-    assert stats["by_difficulty"]["Total"]["obfuscated"] == 0
-    assert stats["by_answer_type"]["Digit"]["unobfuscated"] == 1
-    assert stats["by_answer_type"]["YN"]["unobfuscated"] == 1
-    assert stats["by_answer_type"]["Other"]["unobfuscated"] == 6
-
-
-def test_stats_empty_dataset():
-    stats = corpus_stats([])
-    assert stats["by_difficulty"]["Total"]["unobfuscated"] == 0
-    assert stats["by_difficulty"]["Total"]["obfuscated"] == 0
-
-
-def test_stats_table_renders():
-    table = stats_table(corpus_stats([]))
-    assert table.startswith("| Level |")
+def test_stats_empty_dataset(capsys, tmp_path):
+    code, stats = _validate_stats(capsys, tmp_path)
+    assert code == 0
+    assert stats == {
+        "problems_ok": 0,
+        "problems_failed": 0,
+        "questions": 0,
+        "subquestions": 0,
+        "subquestions_by_difficulty": {},
+        "subquestions_by_answer_type": {},
+    }

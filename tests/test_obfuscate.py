@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from lingobf import annotations
 from lingobf.obfuscate import (
+    CompiledTexts,
     CoverageError,
     apply,
     is_passthrough_char,
-    obfuscate_variant,
     segment,
 )
 from lingobf.rulesets import (
@@ -207,7 +207,7 @@ def test_suffix_rule_is_equivariant_under_pair_swap():
 def test_variant_renders_documents_and_answers_with_one_map():
     docs = {"context": annotations.parse("@@@aker@@@ to steal")}
     answers = {"q0.1": "@@@aker@@@", "q0.2": "42"}
-    rendered_docs, rendered_answers = obfuscate_variant(docs, answers, AE_SWAP, AE_RULESET)
+    rendered_docs, rendered_answers = CompiledTexts(docs, answers, AE_RULESET).render(AE_SWAP)
     assert rendered_docs == {"context": "ekar to steal"}
     assert rendered_answers == {"q0.1": "ekar", "q0.2": "42"}
 
@@ -215,8 +215,8 @@ def test_variant_renders_documents_and_answers_with_one_map():
 def test_variant_identity_strips_markers_only():
     docs = {"context": annotations.parse("@@@kahmanama@@@ your iguana")}
     rs = Ruleset(sets=(("k", "h", "m", "n"), ("a", "u")))
-    _, answers = obfuscate_variant(
-        {}, {"a": "@@@kahmanama@@@"}, PermutationMap.identity(rs), rs
+    _, answers = CompiledTexts({}, {"a": "@@@kahmanama@@@"}, rs).render(
+        PermutationMap.identity(rs)
     )
     assert answers == {"a": "kahmanama"}
 
@@ -224,23 +224,23 @@ def test_variant_identity_strips_markers_only():
 def test_variant_refuses_partial_coverage():
     docs = {"context": annotations.parse("@@@aker@@@ @@@axer@@@")}
     with pytest.raises(CoverageError) as exc:
-        obfuscate_variant(docs, {}, AE_SWAP, AE_RULESET)
+        CompiledTexts(docs, {}, AE_RULESET)
     assert "x" in str(exc.value)
 
 
 def test_variant_coverage_checks_answers_too():
     with pytest.raises(CoverageError) as exc:
-        obfuscate_variant({}, {"1": "@@@quux@@@"}, AE_SWAP, AE_RULESET)
+        CompiledTexts({}, {"1": "@@@quux@@@"}, AE_RULESET)
     assert "answer:1" in str(exc.value)
 
 
 def test_variant_rejects_foreign_map():
     docs = {"context": annotations.parse("@@@shash@@@ to steal")}
     with pytest.raises(MapMismatchError):
-        obfuscate_variant(docs, {"q0.1": "@@@has@@@"}, AE_SWAP, SH_RULESET)
+        CompiledTexts(docs, {"q0.1": "@@@has@@@"}, SH_RULESET).render(AE_SWAP)
     # The map is checked even when no Problemese needs it.
     with pytest.raises(MapMismatchError):
-        obfuscate_variant({}, {"q0.1": "42"}, AE_SWAP, SH_RULESET)
+        CompiledTexts({}, {"q0.1": "42"}, SH_RULESET).render(AE_SWAP)
 
 
 def test_identity_keeps_source_text():
@@ -250,7 +250,7 @@ def test_identity_keeps_source_text():
     assert apply(identity, "aBc", rs) == "aBc"
     sharp = Ruleset(sets=(("ß", "a"),))
     assert apply(PermutationMap.identity(sharp), "ẞa", sharp) == "ẞa"
-    _, answers = obfuscate_variant({}, {"1": "@@@aBc@@@"}, identity, rs)
+    _, answers = CompiledTexts({}, {"1": "@@@aBc@@@"}, rs).render(identity)
     assert answers == {"1": "aBc"}
 
 
@@ -343,19 +343,21 @@ def test_compiled_render_matches_per_span_reference(data, fold_case):
     uncovered = {name for name, text in expected_docs.items() if text is None} | {
         f"answer:{key}" for key, text in expected_answers.items() if text is None
     }
-    if pmap.is_identity:
+    if pmap == PermutationMap.identity(ruleset):
         # The identity map reproduces every covered text as the grammar renders it.
         texts = {**documents, **{f"answer:{k}": annotations.parse(raw) for k, raw in answers.items()}}
         for name, doc in texts.items():
             if name not in uncovered:
-                rendered, _ = obfuscate_variant({name: doc}, {}, pmap, ruleset, fold_case=fold_case)
+                compiled = CompiledTexts({name: doc}, {}, ruleset, fold_case=fold_case)
+                rendered, _ = compiled.render(pmap)
                 assert rendered == {name: annotations.render(doc)}
     if uncovered:
         with pytest.raises(CoverageError) as exc:
-            obfuscate_variant(documents, answers, pmap, ruleset, fold_case=fold_case)
+            CompiledTexts(documents, answers, ruleset, fold_case=fold_case)
         assert set(exc.value.gaps) == uncovered
     else:
-        assert obfuscate_variant(documents, answers, pmap, ruleset, fold_case=fold_case) == (
+        compiled = CompiledTexts(documents, answers, ruleset, fold_case=fold_case)
+        assert compiled.render(pmap) == (
             expected_docs,
             expected_answers,
         )
