@@ -3,8 +3,8 @@
 Every randomized subcommand requires an explicit ``--seed``; there is no
 hidden entropy anywhere, so artifacts are reproducible byte-for-byte.
 Reports and data go to stdout or ``--out``; diagnostics are
-machine-readable JSON on stderr.  Exit codes: 0 success, 1 data error,
-2 usage error.
+machine-readable JSON on stderr.  Exit codes: 0 success, 1 data or file
+error (a diagnostic naming the file), 2 usage error.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ def _diag(**payload) -> None:
     print(jsonio.dumps(payload), file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with jsonio.atomic_writer(out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
@@ -102,8 +103,8 @@ def _cmd_prompt(args) -> int:
         no_context=args.no_context,
         guidance=guidance,
     )
-    prompts.write_prompts(built, args.out)
-    print(jsonio.dumps({"prompts": len(built), "out": args.out}))
+    count = prompts.write_prompts(built, args.out)
+    print(jsonio.dumps({"prompts": count, "out": args.out}))
     return 0
 
 
@@ -203,7 +204,7 @@ def _cmd_report(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     jsonio.write_json(out_dir / "summary.json", metrics.report_summary(report))
     for name, text in texts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _emit(text, out_dir / name)
     print(jsonio.dumps({"out": str(out_dir)}))
     return 0
 
@@ -313,13 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except SystemExit:
         raise
-    except (
-        ValueError,
-        KeyError,
-        TypeError,
-        FileNotFoundError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, KeyError, TypeError, OSError, RuntimeError) as exc:
         _diag(error=type(exc).__name__, detail=str(exc))
         return 1
 

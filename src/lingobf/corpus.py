@@ -506,10 +506,11 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     """Persist records.jsonl + manifest.json; returns the manifest.
 
-    Records are written as ``group_variants`` orders them, so a dataset
-    that ``prompt`` and ``score`` would refuse is never written.  The
-    manifest carries toolkit version, the generation parameters and sampled
-    maps the dataset was built with, and a content digest per variant.
+    Records are written as ``group_variants`` orders them, a variant's
+    block at a time, so a dataset that ``prompt`` and ``score`` would
+    refuse is never written.  The manifest carries toolkit version, the
+    generation parameters and sampled maps the dataset was built with, and
+    a content digest per variant.
     """
     from . import __version__
 
@@ -517,12 +518,12 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records = dataset.records
-    blocks = {
-        v.variant_id: jsonio.encode_lines(r.to_dict() for r in v.questions)
-        for v in group_variants(records)
-    }
-    (out_dir / "records.jsonl").write_text("".join(blocks.values()), encoding="utf-8")
-    digests = {vid: hashlib.sha256(b.encode("utf-8")).hexdigest() for vid, b in blocks.items()}
+    digests = {}
+    with jsonio.atomic_writer(out_dir / "records.jsonl") as fh:
+        for variant in group_variants(records):
+            block = jsonio.encode_lines(r.to_dict() for r in variant.questions)
+            fh.write(block)
+            digests[variant.variant_id] = hashlib.sha256(block.encode("utf-8")).hexdigest()
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

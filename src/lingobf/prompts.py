@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import jsonio
 from .corpus import DatasetRecord, Variant, group_variants
@@ -154,14 +154,13 @@ def build_prompts(
     question_index: int | None = None,
     no_context: bool = False,
     guidance: str | None = None,
-) -> list[PromptInstance]:
-    """Prompts for every (variant, question) pair in the dataset.
+) -> Iterator[PromptInstance]:
+    """Prompts for every (variant, question) pair in the dataset, a variant at a time.
 
     ``question_index`` restricts output to one question index per variant
     (variants lacking that index are skipped).  Raises ``ValueError`` as
-    ``corpus.group_variants`` does.
+    ``corpus.group_variants`` does, before the first prompt is yielded.
     """
-    prompts = []
     for variant in group_variants(records):
         indices = (
             range(len(variant.questions))
@@ -169,13 +168,12 @@ def build_prompts(
             else [question_index] if question_index < len(variant.questions) else []
         )
         sheet = _sheet_text(variant)
-        prompts.extend(_fill(variant, sheet, j, no_context, guidance) for j in indices)
-    return prompts
+        yield from (_fill(variant, sheet, j, no_context, guidance) for j in indices)
 
 
-def write_prompts(prompts: Sequence[PromptInstance], path: str | Path) -> None:
-    text = jsonio.encode_lines(p.to_dict() for p in prompts)
-    Path(path).write_text(text, encoding="utf-8")
+def write_prompts(prompts: Iterable[PromptInstance], path: str | Path) -> int:
+    """Stream ``prompts`` to the JSON-lines file ``path``; returns the count."""
+    return jsonio.write_lines(path, (p.to_dict() for p in prompts))
 
 
 def load_prompts(path: str | Path) -> list[PromptInstance]:

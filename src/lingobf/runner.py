@@ -379,10 +379,10 @@ def run(
     # A crash can leave a torn final line, which read_records skipped; cut
     # it off so appended records start on a fresh line (its prompt is re-run).
     if records_path.is_file():
-        data = records_path.read_bytes()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            os.truncate(records_path, complete)
+        with records_path.open("rb+") as fh:
+            complete = sum(len(line) for line in fh if line.endswith(b"\n"))
+            if complete < fh.tell():
+                fh.truncate(complete)
     jsonio.write_json(
         run_dir / "manifest.json",
         {"schema_version": 1, "endpoint": endpoint.name, "prompts": len(prompts)},
@@ -393,14 +393,19 @@ def run(
 
     def worker(prompt: PromptInstance) -> str:
         record = _query_one(prompt, endpoint, transport)
+        line = jsonio.dumps(record.to_dict()) + "\n"
         with lock:
-            with records_path.open("a", encoding="utf-8") as fh:
-                fh.write(jsonio.encode_lines([record.to_dict()]))
+            records_file.write(line)
+            records_file.flush()
         return record.status
 
     statuses: list[str] = []
     if pending:
-        with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        # One append handle for the whole run; each record is flushed whole
+        # under the lock, so a crash can tear only the last line.
+        with records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
+            max_workers=max(1, parallelism)
+        ) as pool:
             statuses = list(pool.map(worker, pending))
 
     summary = {

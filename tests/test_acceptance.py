@@ -211,7 +211,7 @@ def _golden_pipeline(corpus_dir: Path, work: Path) -> dict:
     gold_by_prompt = {
         f"{r.variant_id}:q{r.question_index}": dict(r.answers) for r in records
     }
-    prompts = build_prompts(records)
+    prompts = list(build_prompts(records))
     assert len({p.user_message for p in prompts}) == len(prompts)
     planted = sorted(p.prompt_id for p in prompts)[:3]
     replies = {}
@@ -313,7 +313,7 @@ def test_10_end_to_end_golden_run(corpus_dir, tmp_path, capsys):
 def test_11_no_context_knowledge_shortcut(corpus, dataset, tmp_path):
     with criterion(11, "no-context knowledge shortcut", 10.0):
         reply_fn = knowledge_reply(corpus, dataset)
-        prompts = build_prompts(dataset, no_context=True)
+        prompts = list(build_prompts(dataset, no_context=True))
 
         def transport(url, headers, body, timeout):
             user = body["messages"][1]["content"]

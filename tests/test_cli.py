@@ -422,6 +422,28 @@ def test_data_error_exits_1_with_json_diag(capsys, tmp_path):
     assert "error" in diag
 
 
+def test_an_os_error_is_a_diagnostic_naming_the_path(capsys, corpus_dir, tmp_path):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    problem = corpus_dir / "birds-x" / "problem.txt"
+    for argv, error, path in (
+        (("report", "--scores", str(taken), "--out", str(tmp_path / "report")),
+         "IsADirectoryError", taken),
+        (("prompt", str(problem), "--out", str(tmp_path / "p.jsonl")),
+         "NotADirectoryError", problem / "manifest.json"),
+        (("prompt", str(ds), "--out", str(taken)), "IsADirectoryError", taken),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        diag = json.loads(err)
+        assert diag["error"] == error and f"'{path}'" in diag["detail"]
+    # No output and no temporary file is left beside the refused ones.
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dataset", "taken"]
+    assert list(taken.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingobf import jsonio
 from lingobf.corpus import DatasetRecord
 from lingobf.metrics import ScoreTensor, score_run
-from lingobf.prompts import PromptInstance, build_prompts
+from lingobf.prompts import PromptInstance, build_prompts, write_prompts
 from lingobf.runner import ResponseRecord
 
 from .test_metrics import all_correct_responses
@@ -72,3 +78,85 @@ def test_read_lines_keeps_or_skips_a_last_line_without_lf(tmp_path):
     path.write_text('{}\n{"a": 2', encoding="utf-8")
     with pytest.raises(ValueError, match=r"r\.jsonl: line 2: Expecting"):
         jsonio.read_lines(path, dict)
+
+
+# Characters a line splitter could mistake for a line end, or that a naive
+# encoder could drop.
+_TEXT = st.text(
+    st.sampled_from("a é\u2028\u2029\u0085\r\n\x00") | st.characters(codec="utf-8"), max_size=12
+)
+
+
+@given(st.lists(st.dictionaries(_TEXT, _TEXT | st.lists(_TEXT, max_size=3), max_size=3)))
+def test_written_lines_read_back_equal(payloads):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "r.jsonl"
+        assert jsonio.write_lines(path, iter(payloads)) == len(payloads)
+        assert jsonio.read_lines(path, dict) == payloads
+
+
+def test_a_torn_tail_at_every_byte_is_skipped_or_named(tmp_path):
+    payloads = [{"a": "é\u2028"}, {"b": "\u0085ə\r"}, {"c": "ẞ"}]
+    path = tmp_path / "r.jsonl"
+    jsonio.write_lines(path, payloads)
+    data = path.read_bytes()
+    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        whole = sum(end <= cut for end in ends)
+        assert jsonio.read_lines(path, dict, torn_tail=True) == payloads[:whole], cut
+        if cut == 0 or cut in ends:
+            assert jsonio.read_lines(path, dict) == payloads[:whole]
+        elif cut + 1 in ends:  # a whole record that lacks only its LF
+            assert jsonio.read_lines(path, dict) == payloads[: whole + 1]
+        else:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {whole + 1}: "):
+                jsonio.read_lines(path, dict)
+
+
+def test_a_line_ends_at_lf_crlf_or_a_lone_cr(tmp_path):
+    path = tmp_path / "r.jsonl"
+    path.write_bytes(b'{"a": 1}\r\n\r\n{"b": "\xc3\xa9"}\r{"c": 3}\n{"d": 4}\r')
+    expected = [{"a": 1}, {"b": "é"}, {"c": 3}, {"d": 4}]
+    assert jsonio.read_lines(path, dict) == expected
+    assert jsonio.read_lines(path, dict, torn_tail=True) == expected
+    path.write_bytes(b'{"a": 1}\r\n{oops}\r\n')
+    with pytest.raises(ValueError, match=r"r\.jsonl: line 2: "):
+        jsonio.read_lines(path, dict)
+
+
+def test_a_failed_write_leaves_no_temporary_file_and_the_old_bytes(tmp_path):
+    def payloads():
+        yield {"a": 1}
+        yield {"b": 2}
+        raise RuntimeError("payload source failed")
+
+    path = tmp_path / "r.jsonl"
+    with pytest.raises(RuntimeError):
+        jsonio.write_lines(path, payloads())
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        jsonio.write_lines(path, payloads())
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == b"old\n"
+
+
+def test_an_artifact_gets_the_permissions_of_a_plain_write(tmp_path):
+    jsonio.write_lines(tmp_path / "r.jsonl", [{}])
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    assert (tmp_path / "r.jsonl").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_write_prompts_holds_one_prompt_at_a_time(tmp_path):
+    # 2,000 prompts of ~2 kB each, about 4 MB of JSON lines in all.
+    prompts = (
+        PromptInstance(f"x:p0:q{i}", "x:p0", "x", 0, i, "s", "ə" * 1000 + str(i), ("1",))
+        for i in range(2000)
+    )
+    tracemalloc.start()
+    try:
+        assert write_prompts(prompts, tmp_path / "p.jsonl") == 2000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -106,34 +106,34 @@ def test_question_index_out_of_range(variants):
 
 
 def test_build_prompts_covers_every_variant_question(dataset):
-    prompts = build_prompts(dataset)
+    prompts = list(build_prompts(dataset))
     assert len(prompts) == len(dataset)  # one record per (variant, question)
     assert len({p.prompt_id for p in prompts}) == len(prompts)
 
 
 def test_build_prompts_question_filter(dataset):
-    prompts = build_prompts(dataset, question_index=1)
+    prompts = list(build_prompts(dataset, question_index=1))
     assert {p.question_index for p in prompts} == {1}
     # voicing-y has a single question, so it contributes nothing.
     assert not any(p.problem_id == "voicing-y" for p in prompts)
 
 
 def test_prompt_export_round_trip(dataset, tmp_path):
-    prompts = build_prompts(dataset)
+    prompts = list(build_prompts(dataset))
     write_prompts(prompts, tmp_path / "prompts.jsonl")
     again = load_prompts(tmp_path / "prompts.jsonl")
     assert again == prompts
 
 
 def test_prompt_export_keeps_unicode_line_separators(dataset, tmp_path):
-    prompts = build_prompts(dataset)[:3]
+    prompts = list(build_prompts(dataset))[:3]
     prompts[1] = dataclasses.replace(prompts[1], user_message="a\u2028b\u2029c")
     write_prompts(prompts, tmp_path / "prompts.jsonl")
     assert load_prompts(tmp_path / "prompts.jsonl") == prompts
 
 
 def test_load_prompts_names_a_bad_line(dataset, tmp_path):
-    write_prompts(build_prompts(dataset)[:3], tmp_path / "prompts.jsonl")
+    write_prompts(list(build_prompts(dataset))[:3], tmp_path / "prompts.jsonl")
     path = tmp_path / "prompts.jsonl"
     lines = path.read_text(encoding="utf-8").split("\n")
     lines[1] = "{garbage"
@@ -144,7 +144,7 @@ def test_load_prompts_names_a_bad_line(dataset, tmp_path):
 
 def test_load_prompts_rejects_a_non_object_line(dataset, tmp_path):
     path = tmp_path / "prompts.jsonl"
-    write_prompts(build_prompts(dataset)[:1], path)
+    write_prompts(list(build_prompts(dataset))[:1], path)
     path.write_text(path.read_text(encoding="utf-8") + "[1, 2]\n", encoding="utf-8")
     error = r"prompts\.jsonl: line 2: record is a JSON list, not an object"
     with pytest.raises(ValueError, match=error):

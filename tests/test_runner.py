@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lingobf.mockserver import MockModelServer
-from lingobf.prompts import PromptInstance, write_prompts
+from lingobf.prompts import PromptInstance, build_prompts, write_prompts
 from lingobf.runner import (
     STATUS_BAD_PARSING,
     STATUS_EMPTY,
@@ -21,6 +21,7 @@ from lingobf.runner import (
     STATUS_TRANSPORT_ERROR,
     _LADDER,
     EndpointConfig,
+    ResponseRecord,
     _http_transport,
     _key_pairs,
     build_request,
@@ -420,6 +421,25 @@ def test_exactly_once_with_fault_injection(tmp_path):
     assert len(lines) == 6
     ids = [json.loads(line)["prompt_id"] for line in lines]
     assert len(set(ids)) == 6
+
+
+def test_a_parallel_run_appends_whole_records_through_one_handle(tmp_path, dataset, monkeypatch):
+    prompts = list(build_prompts(dataset))
+    opened = []
+    path_open = Path.open
+
+    def counting_open(self, mode="r", *args, **kwargs):
+        opened.append((self.name, mode))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    run(prompts, ENDPOINT, tmp_path / "run", parallelism=4, transport=ok_transport)
+    assert opened.count(("records.jsonl", "a")) == 1
+    lines = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").split("\n")
+    assert lines.pop() == ""
+    records = [ResponseRecord.from_dict(json.loads(line)) for line in lines]
+    assert sorted(r.prompt_id for r in records) == sorted(p.prompt_id for p in prompts)
+    assert all(r.status == STATUS_OK for r in records)
 
 
 def test_parallelism_is_bounded(tmp_path):
