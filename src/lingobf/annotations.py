@@ -16,17 +16,25 @@ Segments store their *source* text verbatim, so serialization is exact
 concatenation and round trips byte-for-byte.  Corpora whose plain text
 legitimately contains a marker triple must escape it as ``\\$$$`` /
 ``\\&&&`` / ``\\@@@``; the backslash survives in the stored segment text
-and is dropped only on render.  Normalization is an ingest concern
-(loaders NFC-normalize file content before parsing), not a parser one.
+and is dropped only on render.  A backslash directly before a triple
+always escapes it (``_TOKEN`` is the one statement of that rule).
+Normalization is an ingest concern (loaders NFC-normalize file content
+before parsing), not a parser one.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
 MARKERS = ("$$$", "&&&", "@@@")
 _ESCAPE = "\\"
+_MARKER = "|".join(re.escape(marker) for marker in MARKERS)
+# The grammar's one lexical rule: a backslash directly before a triple
+# escapes it (group 1); any other triple is a bare marker (group 2).  At
+# each position the escaped form is tried first.
+_TOKEN = re.compile(rf"{re.escape(_ESCAPE)}({_MARKER})|({_MARKER})")
 
 
 class MarkerError(ValueError):
@@ -38,25 +46,14 @@ class MarkerError(ValueError):
         super().__init__(f"{message} at offset {self.byte_offset}")
 
 
-def _check_no_bare_marker(text: str) -> None:
-    if not any(marker in text for marker in MARKERS):
-        return
-    i = 0
-    while i < len(text):
-        if text[i] == _ESCAPE and text[i + 1 : i + 4] in MARKERS:
-            i += 4
-        elif text[i : i + 3] in MARKERS:
-            raise ValueError(f"segment text contains an unescaped marker: {text[i:i+3]}")
-        else:
-            i += 1
-
-
 @dataclass(frozen=True)
 class _Segment:
     text: str  # source form, escapes kept verbatim
 
     def __post_init__(self):
-        _check_no_bare_marker(self.text)
+        for m in _TOKEN.finditer(self.text):
+            if m[2]:
+                raise ValueError(f"segment text contains an unescaped marker: {m[2]}")
 
 
 class PlainText(_Segment):
@@ -93,75 +90,41 @@ def unescape(text: str) -> str:
     """Drop the backslash of every escaped marker triple."""
     if _ESCAPE not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == _ESCAPE and text[i + 1 : i + 4] in MARKERS:
-            out.append(text[i + 1 : i + 4])
-            i += 4
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return _TOKEN.sub(lambda m: m[1] or m[2], text)
 
 
 def escape_markers(text: str) -> str:
     """Escape every bare marker triple so the text survives a parse."""
-    out = []
-    i = 0
-    while i < len(text):
-        if text[i] == _ESCAPE and text[i + 1 : i + 4] in MARKERS:
-            out.append(text[i : i + 4])
-            i += 4
-        elif text[i : i + 3] in MARKERS:
-            out.append(_ESCAPE + text[i : i + 3])
-            i += 3
-        else:
-            out.append(text[i])
-            i += 1
-    return "".join(out)
+    return _TOKEN.sub(lambda m: _ESCAPE + (m[1] or m[2]), text)
 
 
 def parse(text: str) -> AnnotatedDocument:
     segments: list[Segment] = []
-    buf: list[str] = []
     open_marker: str | None = None
-    open_pos = 0
-    i = 0
-
-    def flush_plain() -> None:
-        if buf:
-            segments.append(PlainText("".join(buf)))
-            buf.clear()
-
-    while i < len(text):
-        if text[i] == _ESCAPE and text[i + 1 : i + 4] in MARKERS:
-            buf.append(text[i : i + 4])
-            i += 4
-            continue
-        head = text[i : i + 3]
-        if head in MARKERS:
-            if open_marker is None:
-                flush_plain()
-                open_marker, open_pos = head, i
-            elif head == open_marker:
-                segments.append(_OPENERS[open_marker]("".join(buf)))
-                buf.clear()
-                open_marker = None
-            else:
-                raise MarkerError(
-                    f"nested marker {head} inside {open_marker} span",
-                    char_offset=i,
-                    text=text,
-                )
-            i += 3
+    open_pos = start = 0
+    for m in _TOKEN.finditer(text):
+        marker = m[2]
+        if marker is None:
+            continue  # escaped: stays in the segment text verbatim
+        if open_marker is None:
+            if m.start() > start:
+                segments.append(PlainText(text[start : m.start()]))
+            open_marker, open_pos = marker, m.start()
+        elif marker == open_marker:
+            segments.append(_OPENERS[open_marker](text[start : m.start()]))
+            open_marker = None
         else:
-            buf.append(text[i])
-            i += 1
+            raise MarkerError(
+                f"nested marker {marker} inside {open_marker} span",
+                char_offset=m.start(),
+                text=text,
+            )
+        start = m.end()
 
     if open_marker is not None:
         raise MarkerError(f"unbalanced marker {open_marker}", char_offset=open_pos, text=text)
-    flush_plain()
+    if start < len(text):
+        segments.append(PlainText(text[start:]))
     return AnnotatedDocument(segments=tuple(segments))
 
 

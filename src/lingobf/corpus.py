@@ -139,7 +139,9 @@ _DIRECTIVE = re.compile(r"^\[(preamble|context|question|sub ([^\]]+))\]\s*$")
 def _split_sections(text: str) -> list[tuple[str, str | None, str]]:
     """(kind, sub_key, content) triples in file order."""
     sections: list[tuple[str, str | None, list[str]]] = []
-    for line in text.splitlines():
+    # Only LF ends a line (read_text has made CRLF and CR into LF); unlike
+    # splitlines, U+2028, U+0085 and form feed are ordinary characters.
+    for line in text.split("\n"):
         m = _DIRECTIVE.match(line)
         if m:
             kind = "sub" if m.group(2) is not None else m.group(1)

@@ -14,7 +14,7 @@ Response recovery ladder (applied in order until one succeeds):
 
 1. direct JSON-object parse;
 2. strip surrounding code fences and re-parse;
-3. extract the first balanced ``{...}`` substring and parse;
+3. decode the JSON object that starts at the first ``{``;
 4. per-key regex for ``"<key>": "..."`` pairs.
 
 Missing keys are scored as wrong downstream, not treated as parse
@@ -174,10 +174,18 @@ def _coerce(value) -> str:
     return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
 
 
+# Besides malformed JSON (JSONDecodeError, a ValueError), the decoder
+# raises ValueError for an integer longer than the interpreter's digit
+# limit (4300 by default) and RecursionError for nesting past the
+# recursion limit: each is an unparsed reply, never a crashed run.
+_UNDECODABLE = (ValueError, RecursionError)
+_DECODER = json.JSONDecoder()
+
+
 def _direct(raw: str, expected_keys: Sequence[str]) -> dict | None:
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError:
+    except _UNDECODABLE:
         return None
     return obj if isinstance(obj, dict) else None
 
@@ -188,31 +196,11 @@ def _fenced(raw: str, expected_keys: Sequence[str]) -> dict | None:
 
 
 def _embedded(raw: str, expected_keys: Sequence[str]) -> dict | None:
-    """The first balanced ``{...}`` substring, parsed."""
-    start = raw.find("{")
-    if start < 0:
+    """The JSON object that starts at the first ``{``, if there is one."""
+    try:
+        return _DECODER.raw_decode(raw, raw.index("{"))[0]
+    except _UNDECODABLE:
         return None
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return _direct(raw[start : i + 1], expected_keys)
-    return None
 
 
 def _key_pairs(raw: str, expected_keys: Sequence[str]) -> dict | None:

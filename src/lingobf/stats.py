@@ -56,6 +56,8 @@ def bootstrap(tensor: ScoreTensor, sets: int = 500, seed: int = 0) -> BootstrapR
 
 def histogram_csv(result: BootstrapResult, bins: int = 20) -> str:
     """Fixed [0, 1] binning of set scores; last bin closed on the right."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     counts = [0] * bins
     for score in result.set_scores:
         idx = min(int(score * bins), bins - 1)

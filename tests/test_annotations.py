@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from lingobf.annotations import (
+    MARKERS,
     AnnotatedDocument,
     MarkerError,
     NameTag,
@@ -145,6 +148,61 @@ def test_parse_never_hangs_or_misroundtrips(text):
     except MarkerError:
         return
     assert serialize(doc) == text
+
+
+# Text drawn from the marker characters and a backslash, so that triples,
+# escapes and their overlaps are common rather than vanishingly rare.
+_marker_heavy = st.text(alphabet="$&@\\a ", max_size=40)
+
+
+@given(_marker_heavy)
+def test_marker_heavy_text_round_trips(text):
+    try:
+        doc = parse(text)
+    except MarkerError:
+        return
+    assert serialize(doc) == text
+
+
+@given(_marker_heavy)
+def test_escaped_text_parses_as_plain(text):
+    assert all(type(seg) is PlainText for seg in parse(escape_markers(text)).segments)
+
+
+@given(_marker_heavy)
+def test_unescape_inverts_escape_markers(text):
+    # A backslash directly before a triple is already an escape, which
+    # escape_markers keeps and unescape drops.
+    assume(not any("\\" + marker in text for marker in MARKERS))
+    assert unescape(escape_markers(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, segments",
+    [
+        (r"\\$$$", (PlainText(r"\\$$$"),)),  # the second backslash escapes
+        (r"$$\$$$", (PlainText(r"$$\$$$"),)),
+        (r"@@@a\@@@b@@@", (ProblemeseSpan(r"a\@@@b"),)),
+    ],
+)
+def test_escape_precedence(text, segments):
+    assert parse(text).segments == segments
+
+
+@pytest.mark.parametrize(
+    "text, error, offset",
+    [
+        ("$$$$", "unbalanced marker $$$", 0),  # the fourth "$" is span text
+        ("$$$x&&&", "nested marker &&& inside $$$ span", 4),
+    ],
+)
+def test_marker_precedence_errors(text, error, offset):
+    with pytest.raises(MarkerError, match=re.escape(f"{error} at offset {offset}")):
+        parse(text)
+
+
+def test_escaped_escape_renders_one_backslash():
+    assert render(parse(r"\\$$$")) == r"\$$$"
 
 
 # ---------------------------------------------------------------------------

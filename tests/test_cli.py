@@ -374,6 +374,22 @@ def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
         assert json.loads(err) == {"error": "ValueError", "detail": f"{scores}: {detail}"}
 
 
+@pytest.mark.parametrize("bins", ["0", "-1"])
+@pytest.mark.parametrize("sets", ["5", "0"])
+def test_bootstrap_refuses_fewer_than_one_bin(capsys, tmp_path, bins, sets):
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"problems": [{
+        "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+        "scores": [[[1, 0]]], "answer_types": [["YN", "YN"]],
+    }]}), encoding="utf-8")
+    out_path = tmp_path / "hist.csv"
+    argv = ("bootstrap", "--scores", str(scores), "--seed", "1", "--sets", sets, "--bins", bins)
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": "bins must be >= 1"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["scores.json"]
+
+
 def test_prompt_no_context_and_question_filter(capsys, corpus_dir, tmp_path):
     ds = tmp_path / "dataset"
     run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")

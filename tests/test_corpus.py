@@ -297,6 +297,27 @@ def test_dataset_round_trip(tmp_path, corpus, dataset):
     assert set(manifest["digests"]) == {r.variant_id for r in dataset}
 
 
+def test_problem_text_lines_end_only_at_line_ends(tmp_path, corpus_dir):
+    # str.splitlines would also break at U+2028 and form feed, rewriting the
+    # span and reading the form-fed text as a [sub 9] directive.
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    path = tmp_path / "corpus" / "birds-x" / "problem.txt"
+    text = path.read_text(encoding="utf-8")
+    text = text.replace("@@@lami@@@ bird", "@@@la\u2028mi@@@ bird")
+    text = text.replace("Translate into $$$Language X$$$.", "Translate\x0c[sub 9]")
+    path.write_text(text, encoding="utf-8")
+    loaded, report = load_corpus(tmp_path / "corpus")
+    assert report.ok, [f.errors for f in report.failures]
+    record = next(
+        r
+        for r in build_dataset(loaded, per_problem=0, seed=7)
+        if (r.problem_id, r.question_index) == ("birds-x", 0)
+    )
+    assert "la\u2028mi bird" in record.context
+    assert record.body == "Translate\x0c[sub 9]"
+    assert [key for key, _ in record.subquestions] == ["1", "2"]
+
+
 def test_load_dataset_keeps_unicode_line_separators(tmp_path, dataset):
     first = dataset.records[0]
     key = first.expected_keys[0]

@@ -136,6 +136,9 @@ def test_ladder_monotonicity(raw, first_step):
 
 @given(st.text(max_size=200))
 @example('answer "1": "\\q" end')
+@example("[" * 100_000)  # deeper than the JSON decoder's recursion limit
+@example('noise {"1": ' + "[" * 100_000)
+@example('{"1": ' + "1" * 5000 + "}")  # past the integer digit limit
 def test_parse_response_never_raises(raw):
     parsed, status = parse_response(raw, ["1", "2"])
     assert status in {STATUS_OK, STATUS_EMPTY, STATUS_BAD_PARSING}
@@ -231,6 +234,16 @@ def test_empty_reply_recorded(tmp_path):
     run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=transport)
     record = read_records(tmp_path / "run")["x:p0:q0"]
     assert record.status == STATUS_EMPTY
+
+
+def test_a_too_deeply_nested_reply_is_bad_parsing_not_a_crash(tmp_path):
+    def transport(url, headers, body, timeout):
+        return 200, json.dumps({"choices": [{"message": {"content": "[" * 100_000}}]})
+
+    summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=transport)
+    assert (summary["ran"], summary["bad_parsing"]) == (1, 1)
+    lines = (tmp_path / "run" / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["status"] for line in lines] == [STATUS_BAD_PARSING]
 
 
 def test_transport_failure_retries_then_records(tmp_path):
