@@ -329,7 +329,7 @@ class DatasetRecord:
 
     @property
     def expected_keys(self) -> tuple[str, ...]:
-        return tuple(key for key, _ in self.subquestions)
+        return tuple([key for key, _ in self.subquestions])
 
     def to_dict(self) -> dict:
         return {
@@ -350,18 +350,19 @@ class DatasetRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetRecord":
         """The record ``to_dict`` wrote; ``ValueError`` if its answers miss or add a key."""
+        # By position, in field order: a record that lacks several fields names the first.
         record = cls(
-            problem_id=d["problem_id"],
-            p=d["p"],
-            question_index=d["question_index"],
-            difficulty=d["difficulty"],
-            speakers=d["speakers"],
-            preamble=d["preamble"],
-            context=d["context"],
-            body=d["body"],
-            subquestions=tuple((s["key"], s["text"]) for s in d["subquestions"]),
-            answers=dict(d["answers"]),
-            alternates={k: tuple(v) for k, v in d.get("alternates", {}).items()},
+            d["problem_id"],
+            d["p"],
+            d["question_index"],
+            d["difficulty"],
+            d["speakers"],
+            d["preamble"],
+            d["context"],
+            d["body"],
+            tuple([(s["key"], s["text"]) for s in d["subquestions"]]),
+            dict(d["answers"]),
+            {k: tuple(v) for k, v in d.get("alternates", {}).items()},
         )
         keys = {key for key, _ in record.subquestions}
         if record.answers.keys() != keys or not record.alternates.keys() <= keys:
@@ -411,16 +412,22 @@ def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
                 raise ValueError(f"{where}: variant p={p} repeats a question index")
             if p == 0:
                 original = shape
-            for j in sorted(original.keys() | shape.keys()):
-                if j not in shape:
-                    raise ValueError(f"{where}: variant p={p} lacks question {j}, which p=0 has")
-                if shape[j] != original.get(j):
-                    raise ValueError(
-                        f"{where}: variant p={p} question {j} has sub-question keys "
-                        f"{list(shape[j])}, p=0 has {list(original.get(j, ()))}"
-                    )
+            if shape != original:
+                _refuse_shape(where, p, shape, original)
             variants.append(Variant(problem_id=problem_id, p=p, questions=recs))
     return variants
+
+
+def _refuse_shape(where: str, p: int, shape: dict, original: dict) -> None:
+    """Name the first question, by index, where variant ``p`` differs from p = 0."""
+    for j in sorted(original.keys() | shape.keys()):
+        if j not in shape:
+            raise ValueError(f"{where}: variant p={p} lacks question {j}, which p=0 has")
+        if shape[j] != original.get(j):
+            raise ValueError(
+                f"{where}: variant p={p} question {j} has sub-question keys "
+                f"{list(shape[j])}, p=0 has {list(original.get(j, ()))}"
+            )
 
 
 def variant_maps(problem: Problem, per_problem: int, seed: int) -> list[PermutationMap]:

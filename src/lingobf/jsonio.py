@@ -9,6 +9,14 @@ Every artifact is written through :func:`atomic_writer`, so it appears
 whole or not at all, and JSON-lines files are streamed one record at a
 time in both directions: no writer or reader holds a whole file as text.
 A reader ends a line at LF, CRLF or a lone CR, and nowhere else.
+
+Both fast paths keep the stdlib's bytes and errors.  An indented document
+comes from :func:`_indented`, byte for byte what ``json.dumps(...,
+indent=2)`` gives, since the stdlib runs any ``indent`` in pure Python.  A
+line or document is decoded by one call of the stdlib's scanner; text that
+is not one value plus trailing whitespace (leading whitespace, a BOM,
+extra data, a syntax error) is decoded again by ``json.loads``, whose
+value or error is the one returned.
 """
 
 from __future__ import annotations
@@ -20,6 +28,10 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 
 _T = TypeVar("_T")
+
+_scan_once = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+_encode_str = json.encoder.encode_basestring
 
 
 def dumps(payload) -> str:
@@ -51,10 +63,63 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def _indented(value, indent: str) -> str:
+    """``value`` as ``json.dumps(indent=2)`` writes it ``indent`` deep into a document.
+
+    Spells out exact ``str`` and ``int`` values, lists, tuples and dicts
+    with ``str`` keys; anything else (floats, bools, None, other keys,
+    subclasses) is ``json.dumps``'s text with each of its line breaks
+    indented, since a JSON text has a raw LF only between its lines.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_indented(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict and all(type(key) is str for key in value):
+        if not value:
+            return "{}"
+        items = [_encode_str(key) + ": " + _indented(value[key], inner) for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    text = json.dumps(value, ensure_ascii=False, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + indent)
+
+
+def _write_indented(write, value, indent: str, depth: int) -> None:
+    """``_indented(value, indent)`` through ``write``, the top ``depth`` levels an item at a time.
+
+    So no text of a whole document, nor of one of its top-level items (a
+    manifest's 800 maps, say), is ever held in memory.
+    """
+    kind = type(value)
+    if depth and value and (kind is list or kind is tuple):
+        open_, close, items = "[", "]", [("", item) for item in value]
+    elif depth and value and kind is dict and all(type(key) is str for key in value):
+        open_, close = "{", "}"
+        items = [(_encode_str(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        write(_indented(value, indent))
+        return
+    inner = indent + "  "
+    head = open_ + "\n" + inner
+    for prefix, item in items:
+        write(head + prefix)
+        _write_indented(write, item, inner, depth - 1)
+        head = ",\n" + inner
+    write("\n" + indent + close)
+
+
 def write_json(path: str | Path, payload) -> None:
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """``payload`` as an indented document, written a second-level item at a time."""
     with atomic_writer(path) as fh:
-        fh.write(text)
+        _write_indented(fh.write, payload, "", 2)
+        fh.write("\n")
 
 
 def write_lines(path: str | Path, payloads: Iterable) -> int:
@@ -67,6 +132,31 @@ def write_lines(path: str | Path, payloads: Iterable) -> int:
     return count
 
 
+# What a decode may raise; _named turns each into a ValueError naming the text's source.
+_DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _decode(text: str, decode: Callable[..., _T], kind: type) -> _T:
+    try:
+        data, end = _scan_once(text, 0)
+        # What json.loads allows after the value: a document's final LF, say.
+        exact = end == len(text) or _skip_space(text, end).end() == len(text)
+    except (StopIteration, ValueError):
+        exact = False
+    if not exact:
+        data = json.loads(text)
+    if not isinstance(data, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ValueError(f"record is a JSON {type(data).__name__}, not {expected}")
+    return decode(data)
+
+
+def _named(where: str | Path, exc: Exception) -> ValueError:
+    if isinstance(exc, KeyError):
+        return ValueError(f"{where}: record lacks field {exc}")
+    return ValueError(f"{where}: {exc}")
+
+
 def decode_json(where: str | Path, text: str, decode: Callable[..., _T], kind: type = dict) -> _T:
     """``decode`` of the JSON ``kind`` (``dict`` or ``list``) in ``text``.
 
@@ -74,15 +164,9 @@ def decode_json(where: str | Path, text: str, decode: Callable[..., _T], kind: t
     ``decode`` meets raises ``ValueError`` naming ``where``.
     """
     try:
-        data = json.loads(text)
-        if not isinstance(data, kind):
-            expected = "an object" if kind is dict else "a list"
-            raise ValueError(f"record is a JSON {type(data).__name__}, not {expected}")
-        return decode(data)
-    except KeyError as exc:
-        raise ValueError(f"{where}: record lacks field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
+        return _decode(text, decode, kind)
+    except _DECODE_ERRORS as exc:
+        raise _named(where, exc) from None
 
 
 def read_json(path: str | Path, decode: Callable[..., _T], kind: type = dict) -> _T:
@@ -108,7 +192,10 @@ def read_lines(path: Path, decode: Callable[[dict], _T], *, torn_tail: bool = Fa
                 if torn_tail and text == line:
                     break
                 if text.strip():
-                    records.append(decode_json(f"{path}: line {lineno}", text, decode))
+                    try:
+                        records.append(_decode(text, decode, dict))
+                    except _DECODE_ERRORS as exc:
+                        raise _named(f"{path}: line {lineno}", exc) from None
     except UnicodeDecodeError as exc:
         # Strict decoding fails before the line that holds the bad bytes is
         # read.  An incomplete character at the end of the file is the last

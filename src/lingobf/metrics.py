@@ -26,12 +26,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
+from itertools import chain, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import DatasetRecord, group_variants
@@ -39,11 +37,10 @@ from .runner import STATUS_OK, ResponseRecord
 
 ANSWER_TYPES = ("Digit", "SingleChar", "YN", "Other")
 
-_WS_RUN = re.compile(r"\s+")
-
 
 def normalize_answer(text: str, *, case_sensitive: bool = True) -> str:
-    text = _WS_RUN.sub(" ", unicodedata.normalize("NFC", text).strip())
+    """NFC, trimmed, each inner whitespace run one space, casefolded unless ``case_sensitive``."""
+    text = " ".join(unicodedata.normalize("NFC", text).split())
     return text if case_sensitive else text.casefold()
 
 
@@ -58,10 +55,10 @@ def exact_match(
     if pred is None:
         return 0
     p = normalize_answer(pred, case_sensitive=case_sensitive)
-    candidates = (gold, *alternates)
-    return int(
-        any(p == normalize_answer(c, case_sensitive=case_sensitive) for c in candidates)
-    )
+    for candidate in (gold, *alternates):
+        if p == normalize_answer(candidate, case_sensitive=case_sensitive):
+            return 1
+    return 0
 
 
 def answer_type(gold: str) -> str:
@@ -136,17 +133,20 @@ class ScoreTensor:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreTensor":
-        """The tensor ``to_dict`` wrote; ``ValueError`` names a problem of another shape."""
+        """The tensor ``to_dict`` wrote.
+
+        ``ValueError`` if there is no problem, or naming a problem of
+        another shape, or a problem and its p with a cell that is not the
+        JSON integer 0 or 1.
+        """
         problems = []
         for p in data["problems"]:
             problem = ProblemScores(
-                problem_id=p["problem_id"],
-                difficulty=p["difficulty"],
-                speakers=p["speakers"],
-                scores=tuple(
-                    tuple(tuple(int(v) for v in q) for q in perm) for perm in p["scores"]
-                ),
-                answer_types=tuple(tuple(q) for q in p["answer_types"]),
+                p["problem_id"],
+                p["difficulty"],
+                p["speakers"],
+                tuple(tuple(map(tuple, perm)) for perm in p["scores"]),
+                tuple(map(tuple, p["answer_types"])),
             )
             shape = [len(q) for q in problem.answer_types]
             if not (problem.scores and shape and all(shape)):
@@ -158,8 +158,23 @@ class ScoreTensor:
                         f"problem {problem.problem_id}: variant p={perm} has rows of {rows} "
                         f"scores, answer_types has {shape}"
                     )
+            cells = list(chain.from_iterable(chain.from_iterable(problem.scores)))
+            if not (set(map(type, cells)) <= {int} and set(cells) <= {0, 1}):
+                _refuse_cells(problem)
             problems.append(problem)
+        if not problems:
+            raise ValueError("score tensor has no problems")
         return cls(problems=tuple(problems), case_sensitive=data.get("case_sensitive", True))
+
+
+def _refuse_cells(problem: ProblemScores) -> None:
+    for perm, variant in enumerate(problem.scores):
+        for cell in chain.from_iterable(variant):
+            if type(cell) is not int or cell not in (0, 1):
+                raise ValueError(
+                    f"problem {problem.problem_id}: variant p={perm} has a score of "
+                    f"{json.dumps(cell, ensure_ascii=False)}, not 0 or 1"
+                )
 
 
 class UnknownPromptError(ValueError):
@@ -188,37 +203,43 @@ def score_run(
     its ``ValueError``.
     """
     variants = group_variants(records)
-    unknown = sorted(set(responses) - {r.prompt_id for v in variants for r in v.questions})
+    prompt_ids = [[r.prompt_id for r in v.questions] for v in variants]
+    unknown = sorted(set(responses).difference(*prompt_ids))
     if unknown:
         raise UnknownPromptError(unknown)
 
     missing: list[str] = []
 
-    def row(record: DatasetRecord) -> tuple[int, ...]:
-        response = responses.get(record.prompt_id)
+    def row(record: DatasetRecord, prompt_id: str) -> tuple[int, ...]:
+        response = responses.get(prompt_id)
         if response is None:
-            missing.append(record.prompt_id)
-        parsed = response.parsed if response is not None and response.status == STATUS_OK else None
+            missing.append(prompt_id)
+            parsed = None
+        else:
+            parsed = response.parsed if response.status == STATUS_OK else None
+        if not parsed:
+            return (0,) * len(record.subquestions)
         return tuple(
             exact_match(
-                parsed.get(key) if parsed else None,
+                parsed.get(key),
                 record.answers[key],
                 record.alternates.get(key, ()),
                 case_sensitive=case_sensitive,
             )
-            for key in record.expected_keys
+            for key, _ in record.subquestions
         )
 
     problems = []
-    for problem_id, group in groupby(variants, key=attrgetter("problem_id")):
+    pairs = zip(variants, prompt_ids)
+    for problem_id, group in groupby(pairs, key=lambda pair: pair[0].problem_id):
         group = list(group)
-        original = group[0].questions
+        original = group[0][0].questions
         problems.append(
             ProblemScores(
                 problem_id=problem_id,
                 difficulty=original[0].difficulty,
                 speakers=original[0].speakers,
-                scores=tuple(tuple(row(r) for r in v.questions) for v in group),
+                scores=tuple(tuple(map(row, v.questions, ids)) for v, ids in group),
                 answer_types=tuple(
                     tuple(answer_type(r.answers[key]) for key in r.expected_keys)
                     for r in original
@@ -262,12 +283,11 @@ def _problem_metrics(p: ProblemScores, *, include_original_in_min: bool) -> Prob
     m_og_i, *obf_means = p.variant_means
     delta_by_p = tuple(mean - m_og_i for mean in obf_means)
 
+    # hits[perm][j]: question j's correct sub-questions under perm (an exact int).
+    hits = [list(map(sum, variant)) for variant in p.scores]
+    sizes = list(map(len, p.scores[0]))
     if P > 0:
-        obf_by_j = [
-            sum(p.scores[perm][j][k] for perm in range(1, P + 1) for k in range(len(p.scores[0][j])))
-            / (P * len(p.scores[0][j]))
-            for j in questions
-        ]
+        obf_by_j = [sum(h[j] for h in hits[1:]) / (P * sizes[j]) for j in questions]
         m_obf_i = sum(obf_by_j) / len(obf_by_j)
         delta_i = sum(delta_by_p) / P
     else:
@@ -275,11 +295,7 @@ def _problem_metrics(p: ProblemScores, *, include_original_in_min: bool) -> Prob
         delta_i = None
 
     start = 0 if include_original_in_min or P == 0 else 1
-    rob_by_j = []
-    for j in questions:
-        m = len(p.scores[0][j])
-        worst = min(sum(p.scores[perm][j]) for perm in range(start, P + 1))
-        rob_by_j.append(worst / m)
+    rob_by_j = [min(h[j] for h in hits[start:]) / sizes[j] for j in questions]
     m_rob_i = sum(rob_by_j) / len(rob_by_j)
 
     return ProblemMetrics(
@@ -328,15 +344,17 @@ def aggregate(tensor: ScoreTensor, *, include_original_in_min: bool = True) -> M
     type_counts: dict[str, dict[str, int]] = {}
     for p in tensor.problems:
         for j, row in enumerate(p.answer_types):
+            # Per sub-question k, its hits over the sampled permutations.
+            sampled = [variant[j] for variant in p.scores[1:]]
+            obf_hits = list(map(sum, zip(*sampled))) if sampled else [0] * len(row)
             for k, a_type in enumerate(row):
                 slot = type_counts.setdefault(
                     a_type, {"og_hits": 0, "og_n": 0, "obf_hits": 0, "obf_n": 0}
                 )
                 slot["og_hits"] += p.scores[0][j][k]
                 slot["og_n"] += 1
-                for perm in range(1, p.permutations + 1):
-                    slot["obf_hits"] += p.scores[perm][j][k]
-                    slot["obf_n"] += 1
+                slot["obf_hits"] += obf_hits[k]
+                slot["obf_n"] += p.permutations
     by_answer_type = {
         a_type: {
             "og": c["og_hits"] / c["og_n"] if c["og_n"] else None,

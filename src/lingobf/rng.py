@@ -10,7 +10,14 @@ generator is owned outright.  It is ~20 lines and well studied.
 Stream splitting: :func:`derive_seed` folds a root seed plus a sequence of
 labels (strings or integers) into a new 64-bit seed, so each collection of
 a ruleset, each dataset problem, and each bootstrap set gets its own
-independent stream addressed by name, never by draw order.
+independent stream addressed by name, never by draw order.  The fold is
+incremental: :func:`absorb` continues it, so a caller that derives many
+sibling seeds folds their shared prefix once.
+
+Batch draws: :meth:`SplitMix64.below_each` makes the draws of one
+``below`` call per bound, in order, from rejection limits that
+:func:`rejection_limits` computes once for bounds drawn again and again
+(one per problem, in every bootstrap set).
 """
 
 from __future__ import annotations
@@ -38,7 +45,15 @@ def derive_seed(root: int, *tokens: int | str) -> int:
     (integers), each followed by a finalizer pass, so distinct paths give
     unrelated streams.
     """
-    h = _mix(root ^ _GOLDEN)
+    return absorb(_mix(root ^ _GOLDEN), *tokens)
+
+
+def absorb(seed: int, *tokens: int | str) -> int:
+    """Continue :func:`derive_seed`'s fold from ``seed``.
+
+    ``derive_seed(root, *a, *b) == absorb(derive_seed(root, *a), *b)``.
+    """
+    h = seed
     for token in tokens:
         if isinstance(token, str):
             data = token.encode("utf-8")
@@ -48,6 +63,20 @@ def derive_seed(root: int, *tokens: int | str) -> int:
         else:
             h = _mix(h ^ (token & _MASK) ^ _GOLDEN)
     return h
+
+
+def rejection_limits(bounds: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """``(n, limit)`` for each bound, as :meth:`SplitMix64.below_each` takes them.
+
+    ``limit`` is the largest multiple of ``n`` not above 2**64, the one
+    ``below(n)`` rejects draws from.
+    """
+    limits = []
+    for n in bounds:
+        if n <= 0:
+            raise ValueError("bound must be positive")
+        limits.append((n, _MASK + 1 - ((_MASK + 1) % n)))
+    return tuple(limits)
 
 
 class SplitMix64:
@@ -71,6 +100,30 @@ class SplitMix64:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def below_each(self, limits: Sequence[tuple[int, int]]) -> list[int]:
+        """``[self.below(n) for n, _ in limits]``, from :func:`rejection_limits`.
+
+        The same draws in the same order, with ``next_u64`` and ``_mix``
+        inlined (tests pin the two paths equal): a bound of 1 draws
+        nothing, and a draw at or above the limit is drawn again.
+        """
+        state = self._state
+        out = []
+        for n, limit in limits:
+            if n == 1:
+                out.append(0)
+                continue
+            while True:
+                state = (state + _GOLDEN) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            out.append(z % n)
+        self._state = state
+        return out
 
     def shuffle(self, items: list[T]) -> None:
         """In-place Fisher-Yates shuffle (uniform over all permutations)."""

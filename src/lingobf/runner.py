@@ -262,15 +262,35 @@ class ResponseRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResponseRecord":
-        return cls(
-            prompt_id=d["prompt_id"],
-            status=d["status"],
-            raw_text=d["raw_text"],
-            parsed=d["parsed"],
-            attempts=d["attempts"],
-            latency_ms=d["latency_ms"],
-            timestamp=d["timestamp"],
+        """The record ``to_dict`` wrote.
+
+        ``ValueError`` if ``parsed`` is not null or an object of strings,
+        which ``parse_response`` always gives.
+        """
+        # By position, in field order: a record that lacks several fields names the first.
+        record = cls(
+            d["prompt_id"],
+            d["status"],
+            d["raw_text"],
+            d["parsed"],
+            d["attempts"],
+            d["latency_ms"],
+            d["timestamp"],
         )
+        parsed = record.parsed
+        if parsed is not None and not (
+            type(parsed) is dict and set(map(type, parsed.values())) <= {str}
+        ):
+            _refuse_parsed(parsed)
+        return record
+
+
+def _refuse_parsed(parsed) -> None:
+    if not isinstance(parsed, dict):
+        raise ValueError(f"parsed is a JSON {type(parsed).__name__}, not null or an object")
+    for key, value in parsed.items():
+        if type(value) is not str:
+            raise ValueError(f"parsed[{jsonio.dumps(key)}] is {jsonio.dumps(value)}, not a string")
 
 
 def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:

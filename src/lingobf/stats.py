@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .metrics import ScoreTensor
-from .rng import stream
+from .rng import SplitMix64, absorb, derive_seed, rejection_limits
 
 
 @dataclass(frozen=True)
@@ -46,10 +46,13 @@ def bootstrap(tensor: ScoreTensor, sets: int = 500, seed: int = 0) -> BootstrapR
     # A set only picks one variant per problem, so its score is bit-identical
     # to recomputing the question means for every set.
     variant_means = [problem.variant_means for problem in tensor.problems]
+    limits = rejection_limits(len(means) for means in variant_means)
+    # Set s draws from stream(seed, "bootstrap-set", s); the shared prefix is folded once.
+    prefix = derive_seed(seed, "bootstrap-set")
     scores = []
     for s in range(sets):
-        below = stream(seed, "bootstrap-set", s).below
-        per_problem = [means[below(len(means))] for means in variant_means]
+        picks = SplitMix64(absorb(prefix, s)).below_each(limits)
+        per_problem = [means[i] for means, i in zip(variant_means, picks)]
         scores.append(sum(per_problem) / len(per_problem))
     return BootstrapResult(set_scores=tuple(scores), seed=seed, sets=sets)
 

@@ -352,6 +352,7 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
         ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         ("[]", "record is a JSON list, not an object"),
         ("{}", "record lacks field 'problems'"),
+        ('{"problems": []}', "score tensor has no problems"),
         (
             json.dumps({"problems": [{
                 "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
@@ -360,7 +361,7 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
             "problem x1: variant p=1 has rows of [1, 1] scores, answer_types has [2, 1]",
         ),
     ],
-    ids=["bad-json", "list", "no-problems", "ragged"],
+    ids=["bad-json", "list", "no-problems", "empty-problems", "ragged"],
 )
 def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
     scores = tmp_path / "scores.json"
@@ -372,6 +373,75 @@ def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "ValueError", "detail": f"{scores}: {detail}"}
+
+
+@pytest.mark.parametrize("cell", ["0.7", "2", "-1", '"1"', "true", "null"])
+def test_a_score_cell_other_than_0_or_1_is_named(capsys, tmp_path, cell):
+    scores = tmp_path / "scores.json"
+    scores.write_text(
+        '{"problems": [{"problem_id": "x1", "difficulty": "Foundation", "speakers": 9, '
+        f'"scores": [[[1, 0]], [[0, {cell}]]], "answer_types": [["YN", "YN"]]}}]}}',
+        encoding="utf-8",
+    )
+    detail = f"{scores}: problem x1: variant p=1 has a score of {cell}, not 0 or 1"
+    for argv in (
+        ("bootstrap", "--scores", str(scores), "--seed", "1"),
+        ("report", "--scores", str(scores), "--out", str(tmp_path / "report")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "detail": detail}
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize(
+    "parsed, detail",
+    [
+        (["a"], "parsed is a JSON list, not null or an object"),
+        ({"1": 5}, 'parsed["1"] is 5, not a string'),
+    ],
+    ids=["list", "int-value"],
+)
+def test_a_run_record_whose_parsed_is_not_strings_is_named(
+    capsys, corpus_dir, tmp_path, parsed, detail
+):
+    ds = tmp_path / "dataset"
+    prompts_path = tmp_path / "prompts.jsonl"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    run_cli(capsys, "prompt", str(ds), "--out", str(prompts_path))
+    first = json.loads(prompts_path.read_text(encoding="utf-8").splitlines()[0])
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(
+        json.dumps({"schema_version": 1, "endpoint": "mock", "prompts": 31}), encoding="utf-8"
+    )
+    record = {
+        "prompt_id": first["prompt_id"], "status": "ok", "raw_text": json.dumps(parsed),
+        "parsed": parsed, "attempts": 1, "latency_ms": 1.0, "timestamp": "t",
+    }
+    (run_dir / "records.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    scores = tmp_path / "scores.json"
+    scores.write_text(json.dumps({"problems": [{
+        "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+        "scores": [[[1]]], "answer_types": [["YN"]],
+    }]}), encoding="utf-8")
+    # The endpoint is never contacted: the records are read first.
+    endpoint = tmp_path / "endpoint.json"
+    endpoint.write_text(json.dumps({"name": "mock", "url": "http://127.0.0.1:9"}), encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+    for argv in (
+        ("score", "--run", str(run_dir), "--dataset", str(ds), "--out", str(tmp_path / "s.json")),
+        ("report", "--scores", str(scores), "--out", str(tmp_path / "report"), "--run", str(run_dir)),
+        ("run", "--prompts", str(prompts_path), "--endpoint", str(endpoint), "--out", str(run_dir)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": f"{run_dir / 'records.jsonl'}: line 1: {detail}",
+        }
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "report").exists()
+    assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
 
 @pytest.mark.parametrize("bins", ["0", "-1"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
 import tempfile
 import tracemalloc
@@ -160,3 +161,79 @@ def test_write_prompts_holds_one_prompt_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+
+# Every kind of value the indented writer spells out itself or hands to
+# json.dumps: strings with control characters, U+2028 and non-ASCII; ints
+# past 64 bits; NaN and the infinities; bools and None; empty containers;
+# tuples; and, at any depth, dicts keyed by ints, floats, bools or None.
+_DOC_TEXT = st.text(
+    st.sampled_from('a\u00e9\u2028\u2029\u0085\x00\x1f\x7f"\\\n\t') | st.characters(codec="utf-8"),
+    max_size=8,
+)
+_DOC_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | _DOC_TEXT
+)
+_DOC_KEYS = (_DOC_TEXT, st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+
+
+def _doc_containers(children):
+    dicts = st.one_of([st.dictionaries(keys, children, max_size=4) for keys in _DOC_KEYS])
+    return dicts | st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+
+
+_DOCS = st.recursive(_DOC_SCALARS, _doc_containers, max_leaves=30)
+
+
+@given(_DOCS | st.dictionaries(_DOC_TEXT, _DOCS, max_size=4))
+def test_an_indented_document_has_the_bytes_of_json_dumps(payload):
+    expected = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.json"
+        jsonio.write_json(path, payload)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _outcome(decode, where, text):
+    """The value ``decode`` returns for ``text``, or its error as a diagnostic names it."""
+    try:
+        return decode(text)
+    except ValueError as exc:
+        return str(exc) if where is None else f"{where}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        ' {"a": 1}',
+        '{"a": 1} ',
+        '\t{"a": 1}\t ',
+        '\ufeff{"a": 1}',
+        "{} {}",
+        "{}x",
+        "{}\x0c",
+        "{}\u2028",
+        '{"a": }',
+        '{"a": 1',
+    ],
+    ids=[
+        "space-before", "space-after", "tabs", "bom", "two-values", "extra-data",
+        "form-feed-after", "u2028-after", "bad-value", "unclosed",
+    ],
+)
+def test_a_line_or_document_decodes_as_json_loads_does(tmp_path, text):
+    path = tmp_path / "r.jsonl"
+    path.write_text(f"{{}}\n{text}\n", encoding="utf-8")
+    expected = _outcome(json.loads, f"{path}: line 2", text)
+    assert _outcome(lambda _: jsonio.read_lines(path, dict)[1], None, text) == expected
+    # A document may end in JSON whitespace, such as its final LF.
+    for tail in ("", "\n", " \r\n\t"):
+        expected = _outcome(json.loads, "d.json", text + tail)
+        got = _outcome(lambda t: jsonio.decode_json("d.json", t, dict), None, text + tail)
+        assert got == expected

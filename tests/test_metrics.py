@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import re
+import unicodedata
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lingobf.metrics import (
     ProblemScores,
@@ -12,6 +16,7 @@ from lingobf.metrics import (
     answer_type,
     exact_match,
     heatmap_csv,
+    normalize_answer,
     per_problem_csv,
     report_summary,
     score_run,
@@ -49,6 +54,23 @@ def test_exact_match_alternates():
 
 def test_exact_match_missing_prediction():
     assert exact_match(None, "42") == 0
+
+
+# Whitespace that str.split() and the regex \s both know, beyond ASCII:
+# NEL, NBSP, the line and paragraph separators, and the C0 separators
+# \x1c-\x1f that str.isspace() counts; plus a decomposed é for NFC.
+_WS_TEXT = st.text(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000ae\u0301Σ")
+    | st.characters(),
+    max_size=12,
+)
+
+
+@given(_WS_TEXT | st.text(), st.booleans())
+def test_normalize_answer_trims_and_collapses_like_the_regex_form(text, case_sensitive):
+    expected = re.sub(r"\s+", " ", unicodedata.normalize("NFC", text).strip())
+    expected = expected if case_sensitive else expected.casefold()
+    assert normalize_answer(text, case_sensitive=case_sensitive) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +358,34 @@ def test_oracle_equivalence_on_random_tensors():
             assert pm.delta == delta_i
 
 
+def test_answer_type_breakdown_matches_a_loop_over_cells():
+    rng = SplitMix64(99)
+    unsampled = ProblemScores("q", "Advanced", 10, (((1, 0), (1,)),), (("YN", "Digit"), ("YN",)))
+    for _ in range(50):
+        tensor = random_tensor(rng)
+        tensor = ScoreTensor(problems=(*tensor.problems, unsampled))
+        counts = {}
+        for prob in tensor.problems:
+            for j, row in enumerate(prob.answer_types):
+                for k, a_type in enumerate(row):
+                    c = counts.setdefault(a_type, [0, 0, 0, 0])
+                    c[0] += prob.scores[0][j][k]
+                    c[1] += 1
+                    for variant in prob.scores[1:]:
+                        c[2] += variant[j][k]
+                        c[3] += 1
+        expected = {
+            a_type: {
+                "og": og / og_n if og_n else None,
+                "obf": obf / obf_n if obf_n else None,
+                "og_pairs": og_n,
+                "obf_pairs": obf_n,
+            }
+            for a_type, (og, og_n, obf, obf_n) in sorted(counts.items())
+        }
+        assert aggregate(tensor).by_answer_type == expected
+
+
 def test_permutation_relabeling_invariance():
     rng = SplitMix64(17)
     for _ in range(20):
@@ -410,6 +460,20 @@ def test_answer_type_breakdown_counts():
 def test_empty_tensor_rejected():
     with pytest.raises(ValueError):
         aggregate(ScoreTensor(problems=()))
+
+
+@pytest.mark.parametrize("cell", [0.7, 2, -1, "1", True, None, 1.0, [1]])
+def test_a_score_cell_is_the_json_integer_0_or_1(cell):
+    problem = {
+        "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+        "scores": [[[1, 0]], [[0, cell]]], "answer_types": [["YN", "YN"]],
+    }
+    with pytest.raises(ValueError) as exc:
+        ScoreTensor.from_dict({"problems": [problem]})
+    assert str(exc.value) == f"problem x1: variant p=1 has a score of {json.dumps(cell)}, not 0 or 1"
+    problem["scores"][1][0][1] = 1
+    tensor = ScoreTensor.from_dict({"problems": [problem]})
+    assert tensor.problems[0].scores == (((1, 0),), ((0, 1),))
 
 
 # ---------------------------------------------------------------------------

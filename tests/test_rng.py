@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lingobf.rng import SplitMix64, derive_seed, stream
+from lingobf.rng import SplitMix64, absorb, derive_seed, rejection_limits, stream
 
 
 def test_same_seed_same_stream():
@@ -88,3 +88,38 @@ def test_cycle_uniform_over_three_elements():
 def test_cycle_needs_two_items():
     with pytest.raises(ValueError):
         SplitMix64(0).cycle(["only"])
+
+
+_BOUNDS = st.lists(
+    st.sampled_from([1, 2, 3, 41]) | st.integers(1, 2**64) | st.integers(2**63, 2**64),
+    max_size=30,
+)
+
+
+@given(st.integers(0, 2**64 - 1), _BOUNDS)
+def test_below_each_makes_the_draws_of_below(seed, bounds):
+    # Bounds past 2**63 reject about half their draws, so the redraw path runs too.
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    assert batch.below_each(rejection_limits(bounds)) == [single.below(n) for n in bounds]
+    assert batch.next_u64() == single.next_u64()
+
+
+def test_a_bound_of_one_draws_nothing():
+    rng = SplitMix64(5)
+    assert rng.below_each(rejection_limits([1, 1])) == [0, 0]
+    assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_rejection_limits_refuse_a_nonpositive_bound(bound):
+    with pytest.raises(ValueError, match="bound must be positive"):
+        rejection_limits([2, bound])
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.text(max_size=12) | st.integers(-(2**70), 2**70), max_size=3),
+    st.lists(st.text(max_size=12) | st.integers(-(2**70), 2**70), max_size=3),
+)
+def test_absorb_continues_derive_seed(root, head, tail):
+    assert absorb(derive_seed(root, *head), *tail) == derive_seed(root, *head, *tail)

@@ -389,6 +389,33 @@ def test_read_records_rejects_bad_lines_mid_file(tmp_path):
         read_records(tmp_path / "run")
 
 
+@pytest.mark.parametrize(
+    "parsed, detail",
+    [
+        (["a"], "parsed is a JSON list, not null or an object"),
+        ("a", "parsed is a JSON str, not null or an object"),
+        ({"1": 5}, 'parsed["1"] is 5, not a string'),
+        ({"1": "a", "2": None}, 'parsed["2"] is null, not a string'),
+        ({"1": ["a"]}, 'parsed["1"] is ["a"], not a string'),
+    ],
+    ids=["list", "string", "int-value", "null-value", "list-value"],
+)
+def test_read_records_refuses_a_parsed_that_is_not_null_or_an_object_of_strings(
+    tmp_path, parsed, detail
+):
+    run([make_prompt(0), make_prompt(1)], ENDPOINT, tmp_path / "run", transport=ok_transport)
+    path = tmp_path / "run" / "records.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(second)
+    path.write_text(f"{first}\n{json.dumps({**record, 'parsed': parsed})}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_records(tmp_path / "run")
+    assert str(exc.value) == f"{path}: line 2: {detail}"
+    for kept in (None, {}, {"1": "a", "2": ""}):
+        path.write_text(f"{first}\n{json.dumps({**record, 'parsed': kept})}\n", encoding="utf-8")
+        assert read_records(tmp_path / "run")[record["prompt_id"]].parsed == kept
+
+
 def test_bad_records_line_fails_before_the_run_directory_is_written(tmp_path):
     run_dir = tmp_path / "run"
     run_dir.mkdir()

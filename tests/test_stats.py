@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lingobf.metrics import ProblemScores, ScoreTensor
+from lingobf.rng import stream
 from lingobf.stats import (
     DegenerateDataError,
     bonferroni,
@@ -202,3 +203,29 @@ def test_bonferroni_values():
 def test_bonferroni_rejects_zero_tests():
     with pytest.raises(ValueError):
         bonferroni(0.05, 0)
+
+
+@st.composite
+def score_tensors(draw):
+    """Random 0/1 tensors; some problems have no sampled permutation (P = 0)."""
+    problems = []
+    for i in range(draw(st.integers(1, 5))):
+        shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        variants = draw(st.integers(1, 4))
+        scores = tuple(
+            tuple(tuple(draw(st.integers(0, 1)) for _ in range(m)) for m in shape)
+            for _ in range(variants)
+        )
+        answer_types = tuple(("Other",) * m for m in shape)
+        problems.append(ProblemScores(f"x{i}", "Advanced", 10, scores, answer_types))
+    return ScoreTensor(problems=tuple(problems))
+
+
+@given(score_tensors(), st.integers(0, 30), st.integers(0, 2**64 - 1))
+def test_bootstrap_draws_set_s_from_its_named_stream(tensor, sets, seed):
+    expected = []
+    for s in range(sets):
+        below = stream(seed, "bootstrap-set", s).below
+        per_problem = [p.variant_means[below(p.permutations + 1)] for p in tensor.problems]
+        expected.append(sum(per_problem) / len(per_problem))
+    assert bootstrap(tensor, sets=sets, seed=seed).set_scores == tuple(expected)
