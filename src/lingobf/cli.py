@@ -10,6 +10,7 @@ error (a diagnostic naming the file), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -64,8 +65,7 @@ def _cmd_validate(args) -> int:
         "subquestions": len(subs),
         "subquestions_by_difficulty": Counter(problem.difficulty for problem, _ in subs),
         "subquestions_by_answer_type": Counter(
-            metrics.answer_type(annotations.render(annotations.parse(sub.answer)))
-            for _, sub in subs
+            metrics.answer_type(annotations.render(sub.answer)) for _, sub in subs
         ),
     }
     print(jsonio.dumps(summary))
@@ -139,7 +139,9 @@ def _cmd_bootstrap(args) -> int:
 
 def _cmd_report(args) -> int:
     # Read every input, then build every text, and only then write, so a bad
-    # input leaves no partial report behind.
+    # input leaves no partial report behind.  A path given twice (as --scores
+    # and as a --compare, say) is read and aggregated once.
+    @functools.cache
     def aggregate(path: str) -> metrics.MetricsReport:
         return metrics.aggregate(
             jsonio.read_json(path, metrics.ScoreTensor.from_dict),

@@ -13,7 +13,9 @@ A corpus directory holds one subdirectory per problem:
 ``[sub KEY]`` inside a question.  Section content is everything up to the
 next directive, with surrounding blank lines trimmed.  ``answers.json``
 values are either a plain string or ``{"answer": ..., "alternates":
-[...]}``; answers may themselves contain ``@@@...@@@`` spans.
+[...]}``; answers may themselves contain ``@@@...@@@`` spans.  The load
+is the one place that parses a problem's texts: every section and every
+answer and alternate becomes an ``AnnotatedDocument`` there, once.
 
 The language *name* in meta.json is accepted but never read, so it cannot
 reach dataset records or prompts; only the speaker count travels (it feeds
@@ -58,8 +60,8 @@ META_FILE = "meta.json"
 class Subquestion:
     key: str
     text: annotations.AnnotatedDocument
-    answer: str  # raw annotated string
-    alternates: tuple[str, ...] = ()
+    answer: annotations.AnnotatedDocument
+    alternates: tuple[annotations.AnnotatedDocument, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -79,27 +81,19 @@ class Problem:
     ruleset: Ruleset
     fold_case: bool = True
 
-    @property
-    def pair_count(self) -> int:
-        return sum(len(q.subquestions) for q in self.questions)
-
     @cached_property
     def compiled(self) -> CompiledTexts:
         """Every text of the problem, segmented and checked for coverage once.
 
-        Documents are named as in :func:`_problem_documents` and answers as
-        in :func:`_answer_names`.  Raises ``obfuscate.CoverageError`` (a
+        Documents are named as in :func:`_problem_documents`, then answers
+        as in :func:`_answer_names`.  Raises ``obfuscate.CoverageError`` (a
         ``ValueError``) on any Problemese the ruleset cannot segment.
         """
-        answers = {
-            name: text
-            for j, q in enumerate(self.questions)
-            for sub in q.subquestions
-            for name, text in zip(_answer_names(j, sub), (sub.answer, *sub.alternates))
-        }
-        return CompiledTexts(
-            _problem_documents(self), answers, self.ruleset, fold_case=self.fold_case
-        )
+        texts = _problem_documents(self)
+        for j, q in enumerate(self.questions):
+            for sub in q.subquestions:
+                texts.update(zip(_answer_names(j, sub), (sub.answer, *sub.alternates)))
+        return CompiledTexts(texts, self.ruleset, fold_case=self.fold_case)
 
 
 @dataclass(frozen=True)
@@ -235,7 +229,7 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
                     f"{ANSWERS_FILE}: question {j} key {key!r}: expected a string or "
                     '{"answer": string, "alternates": [string, ...]}'
                 )
-            answer, *alternates = map(_norm, texts)
+            answer, *alternates = (annotations.parse(_norm(text)) for text in texts)
             subquestions.append(
                 Subquestion(
                     key=key,
@@ -273,7 +267,10 @@ def _problem_documents(problem: Problem) -> dict[str, annotations.AnnotatedDocum
 
 def _answer_names(j: int, sub: Subquestion) -> list[str]:
     """Compiled names of a subquestion's answer, then of each alternate."""
-    return [f"q{j}.{sub.key}", *(f"alt{a}.q{j}.{sub.key}" for a in range(len(sub.alternates)))]
+    return [
+        f"answer:q{j}.{sub.key}",
+        *(f"answer:alt{a}.q{j}.{sub.key}" for a in range(len(sub.alternates))),
+    ]
 
 
 def load_corpus(directory: str | Path, *, fold_case: bool = True) -> tuple[Corpus, LoadReport]:
@@ -478,10 +475,10 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
         for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
             if p > 0:
                 maps[f"{problem.id}:p{p}"] = pmap
-            rendered_docs, rendered_answers = problem.compiled.render(pmap)
+            rendered = problem.compiled.render(pmap)
             for j, q in enumerate(problem.questions):
                 golds = {
-                    sub.key: [rendered_answers[name] for name in _answer_names(j, sub)]
+                    sub.key: [rendered[name] for name in _answer_names(j, sub)]
                     for sub in q.subquestions
                 }
                 records.append(
@@ -491,11 +488,11 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
                         question_index=j,
                         difficulty=problem.difficulty,
                         speakers=problem.speakers,
-                        preamble=rendered_docs["preamble"],
-                        context=rendered_docs["context"],
-                        body=rendered_docs[f"q{j}.body"],
+                        preamble=rendered["preamble"],
+                        context=rendered["context"],
+                        body=rendered[f"q{j}.body"],
                         subquestions=tuple(
-                            (key, rendered_docs[f"q{j}.sub.{key}"]) for key in golds
+                            (key, rendered[f"q{j}.sub.{key}"]) for key in golds
                         ),
                         answers={key: texts[0] for key, texts in golds.items()},
                         alternates={

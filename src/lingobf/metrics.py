@@ -35,8 +35,6 @@ from typing import Iterable, Mapping, Sequence
 from .corpus import DatasetRecord, group_variants
 from .runner import STATUS_OK, ResponseRecord
 
-ANSWER_TYPES = ("Digit", "SingleChar", "YN", "Other")
-
 
 def normalize_answer(text: str, *, case_sensitive: bool = True) -> str:
     """NFC, trimmed, each inner whitespace run one space, casefolded unless ``case_sensitive``."""
@@ -135,11 +133,12 @@ class ScoreTensor:
     def from_dict(cls, data: dict) -> "ScoreTensor":
         """The tensor ``to_dict`` wrote.
 
-        ``ValueError`` if there is no problem, or naming a problem of
-        another shape, or a problem and its p with a cell that is not the
-        JSON integer 0 or 1.
+        ``ValueError`` if there is no problem, or naming a problem given
+        twice, a problem of another shape, or a problem and its p with a
+        cell that is not the JSON integer 0 or 1.
         """
         problems = []
+        seen = set()
         for p in data["problems"]:
             problem = ProblemScores(
                 p["problem_id"],
@@ -148,6 +147,9 @@ class ScoreTensor:
                 tuple(tuple(map(tuple, perm)) for perm in p["scores"]),
                 tuple(map(tuple, p["answer_types"])),
             )
+            if problem.problem_id in seen:
+                raise ValueError(f"problem {problem.problem_id} appears more than once")
+            seen.add(problem.problem_id)
             shape = [len(q) for q in problem.answer_types]
             if not (problem.scores and shape and all(shape)):
                 raise ValueError(f"problem {problem.problem_id}: empty scores or answer_types")
@@ -422,10 +424,9 @@ def per_problem_csv(report: MetricsReport) -> str:
 def heatmap_csv(reports: Mapping[str, MetricsReport]) -> str:
     """problems x models matrix of per-problem obfuscation deltas."""
     models = sorted(reports)
-    deltas: dict[str, dict[str, float | None]] = {model: {} for model in models}
-    for model in models:
-        for pm in reports[model].per_problem:
-            deltas[model].setdefault(pm.problem_id, pm.delta)
+    deltas = {
+        model: {pm.problem_id: pm.delta for pm in reports[model].per_problem} for model in models
+    }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["problem_id", *models])

@@ -11,12 +11,13 @@ punctuation and digits are legitimate passthrough, anything else is a
 coverage violation.
 
 :class:`CompiledTexts` is the one place that decides coverage: it
-segments every Problemese span of a problem's documents and answers a
-single time, takes the coverage gaps from that same segmentation and
-refuses the problem on any gap.  ``corpus.load_corpus`` compiles each
-problem this way once, in the case mode of the load, and keeps the
-compiled form on the problem; ``corpus.build_dataset`` renders every
-variant from it with dict lookups and ``join``.
+segments every Problemese span of one table of named, already parsed
+documents a single time, takes the coverage gaps from that same
+segmentation and refuses the table on any gap.  ``corpus.load_corpus``
+compiles each problem this way once, its documents and answers in one
+table, in the case mode of the load, and keeps the compiled form on the
+problem; ``corpus.build_dataset`` renders every variant from it with dict
+lookups and ``join``.
 
 Matching is case-folded by default and the replacement re-applies the
 original unit's casing pattern (initial capital -> capitalize the
@@ -155,7 +156,7 @@ def span_gaps(span_index: int, units: list[Unit]) -> list[CoverageGap]:
 
 
 class CoverageError(ValueError):
-    """A document or answer contains Problemese the ruleset cannot segment."""
+    """A named document contains Problemese the ruleset cannot segment."""
 
     def __init__(self, gaps: Mapping[str, list[CoverageGap]]):
         self.gaps = dict(gaps)
@@ -166,26 +167,25 @@ class CoverageError(ValueError):
 
 
 class CompiledTexts:
-    """Named documents and answers, segmented once, renderable under any map.
+    """Named documents, segmented once, renderable under any map.
 
-    Every text becomes a tuple of slot indices.  The first slots stand for
-    the distinct grapheme units of all the texts; the rest hold literal
-    text: unescaped plain text and name tags, the single space of removed
-    context, and the fixed and passthrough units of Problemese spans, with
-    neighbours merged.  A render computes each grapheme unit's image once
-    and joins the slots of each text.
+    Every document becomes a tuple of slot indices.  The first slots stand
+    for the distinct grapheme units of all the documents; the rest hold
+    literal text: unescaped plain text and name tags, the single space of
+    removed context, and the fixed and passthrough units of Problemese
+    spans, with neighbours merged.  A render computes each grapheme unit's
+    image once and joins the slots of each document.
 
-    Answers are annotated strings themselves (a free-response key is
-    usually one ``@@@...@@@`` span; numeric or yes/no keys have none and
-    pass through unchanged).  Construction raises :class:`CoverageError`
-    on any coverage gap, so a variant is either fully obfuscated or not
-    produced.
+    The names are the caller's; an answer key is one more document (a
+    free-response key is usually one ``@@@...@@@`` span, a numeric or
+    yes/no key has none and renders unchanged).  Construction raises
+    :class:`CoverageError`, its gaps in the order of ``documents``, on any
+    coverage gap, so a variant is either fully obfuscated or not produced.
     """
 
     def __init__(
         self,
         documents: Mapping[str, annotations.AnnotatedDocument],
-        answers: Mapping[str, str],
         ruleset: Ruleset,
         *,
         fold_case: bool = True,
@@ -199,11 +199,6 @@ class CompiledTexts:
             docs[name], found = self._compile(doc)
             if found:
                 gaps[name] = found
-        answer_docs = {}
-        for key, raw in answers.items():
-            answer_docs[key], found = self._compile(annotations.parse(raw))
-            if found:
-                gaps[f"answer:{key}"] = found
         if gaps:
             raise CoverageError(gaps)
 
@@ -218,7 +213,6 @@ class CompiledTexts:
             )
 
         self._docs = {name: slots(pieces) for name, pieces in docs.items()}
-        self._answers = {key: slots(pieces) for key, pieces in answer_docs.items()}
         self._literals = list(literals)
 
     def _compile(
@@ -252,14 +246,11 @@ class CompiledTexts:
             pieces.append("".join(literal))
         return pieces, gaps
 
-    def render(self, pmap: PermutationMap) -> tuple[dict[str, str], dict[str, str]]:
-        """(documents, answers) rendered with ``pmap``, keyed as at construction."""
+    def render(self, pmap: PermutationMap) -> dict[str, str]:
+        """Every document rendered with ``pmap``, keyed as at construction."""
         _check_map(pmap, self.ruleset)
         table = [_image(pmap.pairs, unit, self.fold_case) for unit in self._units]
         table += self._literals
         lookup = table.__getitem__
-        return (
-            {name: "".join(map(lookup, slots)) for name, slots in self._docs.items()},
-            {key: "".join(map(lookup, slots)) for key, slots in self._answers.items()},
-        )
+        return {name: "".join(map(lookup, slots)) for name, slots in self._docs.items()}
 

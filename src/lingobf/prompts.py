@@ -158,9 +158,12 @@ def build_prompts(
     """Prompts for every (variant, question) pair in the dataset, a variant at a time.
 
     ``question_index`` restricts output to one question index per variant
-    (variants lacking that index are skipped).  Raises ``ValueError`` as
-    ``corpus.group_variants`` does, before the first prompt is yielded.
+    (variants lacking that index are skipped).  Raises ``ValueError`` for
+    a negative index, and as ``corpus.group_variants`` does, before the
+    first prompt is yielded.
     """
+    if question_index is not None and question_index < 0:
+        raise ValueError(f"question index {question_index} is negative")
     for variant in group_variants(records):
         indices = (
             range(len(variant.questions))

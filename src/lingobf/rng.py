@@ -147,9 +147,6 @@ class SplitMix64:
             out[i], out[j] = out[j], out[i]
         return {src: img for src, img in zip(items, out)}
 
-    def choice(self, items: Sequence[T]) -> T:
-        return items[self.below(len(items))]
-
 
 def stream(root: int, *tokens: int | str) -> SplitMix64:
     """Named child stream of ``root``; shorthand for SplitMix64(derive_seed(...))."""

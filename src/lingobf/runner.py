@@ -30,6 +30,7 @@ import os
 import re
 import threading
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -43,6 +44,10 @@ STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
 STATUS_BAD_PARSING = "bad_parsing"
 STATUS_TRANSPORT_ERROR = "transport_error"
+
+_JSON_TYPE_NAMES = {
+    str: "a string", int: "an integer", float: "a number", dict: "an object", type(None): "null"
+}
 
 # transport(url, headers, body, timeout_s) -> (status_code, response_text)
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]
@@ -73,7 +78,28 @@ class EndpointConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EndpointConfig":
-        return jsonio.read_json(path, lambda d: cls(**d))
+        """The config in the JSON file ``path``.
+
+        Each field must have the JSON type its annotation above states (an
+        integer is also a number; a boolean is neither), and ``timeout_s``,
+        ``max_retries`` and ``retry_base_s`` must not be negative; else
+        ``ValueError`` names the file and the field.
+        """
+        return jsonio.read_json(path, cls._from_dict)
+
+    @classmethod
+    def _from_dict(cls, d: dict) -> "EndpointConfig":
+        hints = typing.get_type_hints(cls)
+        for name, value in d.items():
+            if name not in hints:
+                continue  # refused by the constructor, as an unexpected argument
+            kinds = typing.get_args(hints[name]) or (hints[name],)
+            if type(value) not in kinds and not (type(value) is int and float in kinds):
+                expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
+                raise ValueError(f"{name} is {jsonio.dumps(value)}, not {expected}")
+            if name in ("timeout_s", "max_retries", "retry_base_s") and value < 0:
+                raise ValueError(f"{name} is {jsonio.dumps(value)}, which is negative")
+        return cls(**d)
 
     def default_body(self) -> dict:
         body: dict = {

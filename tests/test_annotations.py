@@ -219,8 +219,8 @@ def test_render_identity_strips_markers():
     doc = parse("@@@aker@@@ to steal")
     identity = PermutationMap.identity(AE_RULESET)
     assert render(doc) == "aker to steal"
-    compiled = CompiledTexts({"d": doc}, {}, AE_RULESET)
-    assert compiled.render(identity) == ({"d": "aker to steal"}, {})
+    compiled = CompiledTexts({"d": doc}, AE_RULESET)
+    assert compiled.render(identity) == {"d": "aker to steal"}
 
 
 def test_render_removed_context_is_single_space():
@@ -230,24 +230,22 @@ def test_render_removed_context_is_single_space():
 
 def test_render_applies_map_to_problemese_only():
     doc = parse("@@@aker@@@ area")
-    compiled = CompiledTexts({"d": doc}, {}, AE_RULESET)
-    assert compiled.render(AE_SWAP) == ({"d": "ekar area"}, {})
+    compiled = CompiledTexts({"d": doc}, AE_RULESET)
+    assert compiled.render(AE_SWAP) == {"d": "ekar area"}
 
 
 def test_render_identity_equals_render_absent(corpus):
     for problem in corpus.problems:
         identity = PermutationMap.identity(problem.ruleset)
         docs = {"preamble": problem.preamble, "context": problem.context}
-        answers = {}
         for j, q in enumerate(problem.questions):
             docs[f"q{j}.body"] = q.body
             for s in q.subquestions:
                 docs[f"q{j}.sub.{s.key}"] = s.text
-                answers[f"q{j}.{s.key}"] = s.answer
-        assert CompiledTexts(docs, answers, problem.ruleset).render(identity) == (
-            {name: render(doc) for name, doc in docs.items()},
-            {key: render(parse(raw)) for key, raw in answers.items()},
-        )
+                docs[f"answer:q{j}.{s.key}"] = s.answer
+        assert CompiledTexts(docs, problem.ruleset).render(identity) == {
+            name: render(doc) for name, doc in docs.items()
+        }
 
 
 def test_unescape_and_escape_are_inverse():
@@ -266,7 +264,7 @@ AKER_RULESET = Ruleset(sets=(("a", "k", "e", "r"),))
 def _gaps(text: str) -> list[CoverageGap]:
     """The coverage gaps CompiledTexts finds in one annotated document."""
     try:
-        CompiledTexts({"doc": parse(text)}, {}, AKER_RULESET)
+        CompiledTexts({"doc": parse(text)}, AKER_RULESET)
     except CoverageError as exc:
         return exc.gaps["doc"]
     return []

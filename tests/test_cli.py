@@ -360,8 +360,16 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
             }]}),
             "problem x1: variant p=1 has rows of [1, 1] scores, answer_types has [2, 1]",
         ),
+        (
+            json.dumps({"problems": [
+                {"problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+                 "scores": scores, "answer_types": [["YN", "YN"]]}
+                for scores in ([[[1, 0]], [[0, 0]]], [[[1, 1]], [[1, 1]]])
+            ]}),
+            "problem x1 appears more than once",
+        ),
     ],
-    ids=["bad-json", "list", "no-problems", "empty-problems", "ragged"],
+    ids=["bad-json", "list", "no-problems", "empty-problems", "ragged", "repeated-problem"],
 )
 def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
     scores = tmp_path / "scores.json"
@@ -477,6 +485,87 @@ def test_prompt_no_context_and_question_filter(capsys, corpus_dir, tmp_path):
     lines = (tmp_path / "p.jsonl").read_text().splitlines()
     assert all(json.loads(line)["no_context"] for line in lines)
     assert {json.loads(line)["question_index"] for line in lines} == {0}
+
+
+def test_prompt_refuses_a_negative_question(capsys, corpus_dir, tmp_path):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    argv = ("prompt", str(ds), "--out", str(tmp_path / "p.jsonl"), "--question", "-1")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": "question index -1 is negative"}
+    # No prompts file, and no temporary file beside it.
+    assert [path.name for path in tmp_path.iterdir()] == ["dataset"]
+
+
+def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
+    capsys, tmp_path, corpus_dir
+):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    run_cli(capsys, "prompt", str(ds), "--out", str(tmp_path / "p.jsonl"))
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text(json.dumps({"name": "x", "url": "http://127.0.0.1:9", "max_retries": "3"}))
+    argv = ("run", "--prompts", str(tmp_path / "p.jsonl"), "--endpoint", str(cfg))
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "detail": f'{cfg}: max_retries is "3", not an integer',
+    }
+    assert not (tmp_path / "run").exists()
+
+
+def _scores_text(problems: dict[str, tuple[str, int, list[int]]]) -> str:
+    """A score tensor: per problem its level, speakers and p = 0..2 scores of two sub-questions."""
+    return json.dumps({"problems": [
+        {"problem_id": pid, "difficulty": level, "speakers": speakers,
+         "scores": [[[cell, 1]] for cell in cells], "answer_types": [["YN", "Other"]]}
+        for pid, (level, speakers, cells) in problems.items()
+    ]})
+
+
+def test_report_reads_and_aggregates_each_score_file_once(capsys, monkeypatch, tmp_path):
+    import lingobf.jsonio
+    import lingobf.metrics
+
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(_scores_text({
+        "x1": ("Foundation", 9, [1, 0, 1]),
+        "x2": ("Foundation", 900, [1, 1, 0]),
+        "x3": ("Advanced", 90000, [0, 1, 1]),
+    }))
+    b.write_text(_scores_text({
+        "x1": ("Foundation", 9, [1, 1, 1]),
+        "x2": ("Foundation", 900, [0, 0, 0]),
+        "x4": ("Advanced", 50, [1, 0, 0]),
+    }))
+    reads, aggregates = [], []
+    read_json, aggregate = lingobf.jsonio.read_json, lingobf.metrics.aggregate
+    monkeypatch.setattr(
+        lingobf.jsonio, "read_json", lambda path, *args: reads.append(path) or read_json(path, *args)
+    )
+    monkeypatch.setattr(
+        lingobf.metrics,
+        "aggregate",
+        lambda *args, **kwargs: aggregates.append(args) or aggregate(*args, **kwargs),
+    )
+    argv = ("report", "--scores", str(a), "--out", str(tmp_path / "report"))
+    code, _, _ = run_cli(capsys, *argv, "--compare", f"a={a}", "--compare", f"b={b}")
+    assert code == 0
+    assert reads == [str(a), str(b)] and len(aggregates) == 2
+    # The same bytes as a report that reads and aggregates a.json twice.
+    pinned = {
+        "heatmap.csv": "f22afac78536d3f73e4f4a0b8567a1a4944c5c3151c46057b8be756bf289a7f4",
+        "per_problem.csv": "163b7ff9bce45c7dda5610463500df0a49192a74295e3b82d4db24d5fefab03c",
+        "regression.csv": "d003db03c1667a620f660dce6ad9a1cc33391ce9cfe4ce3b6806a8c47c3750a6",
+        "summary.json": "304c569a1806688f1d3de0ba42c48812211323d9ed2f7a6e97a807e2be11e0b5",
+        "summary.md": "484fac82bc54b4253b7bc5e9267f6d379f1f8a34acafd5c0edc03410304a732c",
+    }
+    assert {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "report").iterdir()
+    } == pinned
 
 
 def test_bad_endpoint_config_exits_1(capsys, tmp_path, corpus_dir):

@@ -154,6 +154,59 @@ def test_malformed_json_file_is_that_problems_load_failure(
     assert report.failures[0].errors[0].startswith(error)
 
 
+@pytest.mark.parametrize(
+    "answers, error",
+    [
+        (
+            '[{"1": {"answer": "@@@gux@@@", "alternates": ["@@@gox@@@"]}, "2": "@@@kup@@@"}]',
+            "coverage gaps: answer:q0.1: span 0 offset 2: 'x'; "
+            "answer:alt0.q0.1: span 0 offset 1: 'ox'",
+        ),
+        ('[{"1": "@@@gup", "2": "@@@kup@@@"}]', "unbalanced marker @@@ at offset 0"),
+        (
+            '[{"1": {"answer": "@@@gup@@@", "alternates": ["yes", "@@@g$$$u$$$p@@@"]}, '
+            '"2": "@@@kup@@@"}]',
+            "nested marker $$$ inside @@@ span at offset 4",
+        ),
+    ],
+    ids=["uncovered", "unbalanced", "nested-in-alternate"],
+)
+def test_a_bad_answer_is_that_problems_load_failure(tmp_path, corpus_dir, answers, error):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    (tmp_path / "corpus" / "voicing-y" / "answers.json").write_text(answers, encoding="utf-8")
+    loaded, report = load_corpus(tmp_path / "corpus")
+    assert [p.id for p in loaded] == ["birds-x", "rivers-z"]
+    assert [(f.problem_id, f.errors) for f in report.failures] == [("voicing-y", [error])]
+
+
+def test_the_load_parses_each_text_once(capsys, tmp_path, corpus_dir, monkeypatch):
+    import lingobf.annotations
+
+    # One alternate, so that alternates are counted too.
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    (tmp_path / "corpus" / "voicing-y" / "answers.json").write_text(
+        '[{"1": {"answer": "@@@gup@@@", "alternates": ["@@@gub@@@"]}, "2": "@@@kup@@@"}]',
+        encoding="utf-8",
+    )
+    texts = []
+    parse = lingobf.annotations.parse
+    monkeypatch.setattr(
+        lingobf.annotations, "parse", lambda text: texts.append(text) or parse(text)
+    )
+    loaded, report = load_corpus(tmp_path / "corpus")
+    assert report.ok
+    subs = [sub for p in loaded for q in p.questions for sub in q.subquestions]
+    documents = sum(2 + len(p.questions) for p in loaded) + len(subs)
+    answers = sum(1 + len(sub.alternates) for sub in subs)
+    # 3 preambles, 3 contexts, 5 bodies and 8 sub-questions; 8 answers and 1 alternate.
+    assert (documents, answers) == (19, 9)
+    assert len(texts) == 19 + 9
+    # validate classifies the parsed answers and parses nothing again.
+    texts.clear()
+    assert main(["validate", str(tmp_path / "corpus")]) == 0
+    assert len(texts) == 19 + 9
+
+
 # ---------------------------------------------------------------------------
 # Dataset generation
 
@@ -181,7 +234,7 @@ def test_pair_accounting(corpus, dataset):
     expected = 0
     for problem in corpus.problems:
         p_i = len(variant_maps(problem, 6, seed=7)) - 1
-        expected += (1 + p_i) * problem.pair_count
+        expected += (1 + p_i) * sum(len(q.subquestions) for q in problem.questions)
     assert sum(len(r.subquestions) for r in dataset) == expected == 48
     voicing = {r.p for r in dataset if r.problem_id == "voicing-y"}
     assert voicing == {0, 1, 2}
@@ -205,7 +258,9 @@ def _synthetic_corpus():
         return Question(
             body=parse("Translate."),
             subquestions=tuple(
-                Subquestion(key=str(k + 1), text=parse(f"item {k + 1}"), answer=f"@@@{w}@@@")
+                Subquestion(
+                    key=str(k + 1), text=parse(f"item {k + 1}"), answer=parse(f"@@@{w}@@@")
+                )
                 for k, w in enumerate(pair)
             ),
         )
@@ -251,8 +306,6 @@ def test_different_seed_different_dataset(corpus):
 
 def test_same_map_consistency(corpus, dataset):
     """Re-rendering any stored answer with the variant's map reproduces it."""
-    from lingobf.annotations import parse
-
     problems = {p.id: p for p in corpus.problems}
     for record in dataset:
         if record.p == 0:
@@ -261,7 +314,7 @@ def test_same_map_consistency(corpus, dataset):
         pmap = dataset.maps[record.variant_id]
         assert pmap == variant_maps(problem, 6, seed=7)[record.p]
         for sub in problem.questions[record.question_index].subquestions:
-            rendered = reference_render(parse(sub.answer), pmap, problem.ruleset)
+            rendered = reference_render(sub.answer, pmap, problem.ruleset)
             assert rendered == record.answers[sub.key]
 
 

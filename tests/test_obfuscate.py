@@ -205,17 +205,22 @@ def test_suffix_rule_is_equivariant_under_pair_swap():
 
 
 def test_variant_renders_documents_and_answers_with_one_map():
-    docs = {"context": annotations.parse("@@@aker@@@ to steal")}
-    answers = {"q0.1": "@@@aker@@@", "q0.2": "42"}
-    rendered_docs, rendered_answers = CompiledTexts(docs, answers, AE_RULESET).render(AE_SWAP)
-    assert rendered_docs == {"context": "ekar to steal"}
-    assert rendered_answers == {"q0.1": "ekar", "q0.2": "42"}
+    texts = {
+        "context": annotations.parse("@@@aker@@@ to steal"),
+        "answer:q0.1": annotations.parse("@@@aker@@@"),
+        "answer:q0.2": annotations.parse("42"),
+    }
+    assert CompiledTexts(texts, AE_RULESET).render(AE_SWAP) == {
+        "context": "ekar to steal",
+        "answer:q0.1": "ekar",
+        "answer:q0.2": "42",
+    }
 
 
 def test_variant_identity_strips_markers_only():
     docs = {"context": annotations.parse("@@@kahmanama@@@ your iguana")}
     rs = Ruleset(sets=(("k", "h", "m", "n"), ("a", "u")))
-    _, answers = CompiledTexts({}, {"a": "@@@kahmanama@@@"}, rs).render(
+    answers = CompiledTexts({"a": annotations.parse("@@@kahmanama@@@")}, rs).render(
         PermutationMap.identity(rs)
     )
     assert answers == {"a": "kahmanama"}
@@ -224,23 +229,24 @@ def test_variant_identity_strips_markers_only():
 def test_variant_refuses_partial_coverage():
     docs = {"context": annotations.parse("@@@aker@@@ @@@axer@@@")}
     with pytest.raises(CoverageError) as exc:
-        CompiledTexts(docs, {}, AE_RULESET)
+        CompiledTexts(docs, AE_RULESET)
     assert "x" in str(exc.value)
 
 
 def test_variant_coverage_checks_answers_too():
     with pytest.raises(CoverageError) as exc:
-        CompiledTexts({}, {"1": "@@@quux@@@"}, AE_RULESET)
+        CompiledTexts({"answer:1": annotations.parse("@@@quux@@@")}, AE_RULESET)
     assert "answer:1" in str(exc.value)
 
 
 def test_variant_rejects_foreign_map():
     docs = {"context": annotations.parse("@@@shash@@@ to steal")}
     with pytest.raises(MapMismatchError):
-        CompiledTexts(docs, {"q0.1": "@@@has@@@"}, SH_RULESET).render(AE_SWAP)
+        docs["answer:q0.1"] = annotations.parse("@@@has@@@")
+        CompiledTexts(docs, SH_RULESET).render(AE_SWAP)
     # The map is checked even when no Problemese needs it.
     with pytest.raises(MapMismatchError):
-        CompiledTexts({}, {"q0.1": "42"}, SH_RULESET).render(AE_SWAP)
+        CompiledTexts({"answer:q0.1": annotations.parse("42")}, SH_RULESET).render(AE_SWAP)
 
 
 def test_identity_keeps_source_text():
@@ -250,7 +256,7 @@ def test_identity_keeps_source_text():
     assert apply(identity, "aBc", rs) == "aBc"
     sharp = Ruleset(sets=(("ß", "a"),))
     assert apply(PermutationMap.identity(sharp), "ẞa", sharp) == "ẞa"
-    _, answers = CompiledTexts({}, {"1": "@@@aBc@@@"}, rs).render(identity)
+    answers = CompiledTexts({"1": annotations.parse("@@@aBc@@@")}, rs).render(identity)
     assert answers == {"1": "aBc"}
 
 
@@ -333,31 +339,21 @@ def test_compiled_render_matches_per_span_reference(data, fold_case):
         f"d{i}": annotations.parse(data.draw(annotated_texts(ruleset))) for i in range(2)
     }
     answers = {f"a{i}": data.draw(annotated_texts(ruleset)) for i in range(2)}
-    expected_docs = {
-        name: reference_render(doc, pmap, ruleset, fold_case) for name, doc in documents.items()
+    texts = {**documents, **{f"answer:{k}": annotations.parse(raw) for k, raw in answers.items()}}
+    expected = {
+        name: reference_render(doc, pmap, ruleset, fold_case) for name, doc in texts.items()
     }
-    expected_answers = {
-        key: reference_render(annotations.parse(raw), pmap, ruleset, fold_case)
-        for key, raw in answers.items()
-    }
-    uncovered = {name for name, text in expected_docs.items() if text is None} | {
-        f"answer:{key}" for key, text in expected_answers.items() if text is None
-    }
+    uncovered = {name for name, text in expected.items() if text is None}
     if pmap == PermutationMap.identity(ruleset):
         # The identity map reproduces every covered text as the grammar renders it.
-        texts = {**documents, **{f"answer:{k}": annotations.parse(raw) for k, raw in answers.items()}}
         for name, doc in texts.items():
             if name not in uncovered:
-                compiled = CompiledTexts({name: doc}, {}, ruleset, fold_case=fold_case)
-                rendered, _ = compiled.render(pmap)
-                assert rendered == {name: annotations.render(doc)}
+                compiled = CompiledTexts({name: doc}, ruleset, fold_case=fold_case)
+                assert compiled.render(pmap) == {name: annotations.render(doc)}
     if uncovered:
         with pytest.raises(CoverageError) as exc:
-            CompiledTexts(documents, answers, ruleset, fold_case=fold_case)
+            CompiledTexts(texts, ruleset, fold_case=fold_case)
         assert set(exc.value.gaps) == uncovered
     else:
-        compiled = CompiledTexts(documents, answers, ruleset, fold_case=fold_case)
-        assert compiled.render(pmap) == (
-            expected_docs,
-            expected_answers,
-        )
+        compiled = CompiledTexts(texts, ruleset, fold_case=fold_case)
+        assert compiled.render(pmap) == expected

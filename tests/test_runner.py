@@ -179,6 +179,44 @@ def test_endpoint_config_names_the_file_and_an_unknown_key(tmp_path):
         EndpointConfig.from_file(path)
 
 
+def test_a_valid_endpoint_config_loads_unchanged(tmp_path):
+    fields = {
+        "name": "e", "url": "http://x", "model": "m", "api_key_env": None,
+        "headers": {"X": "y"}, "body": {"input": "{user}"}, "response_path": "text",
+        "temperature": None, "max_output_tokens": 64, "timeout_s": 5, "max_retries": 0,
+        "retry_base_s": 0.25,
+    }
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(fields))
+    assert EndpointConfig.from_file(path) == EndpointConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("max_retries", "3", 'max_retries is "3", not an integer'),
+        ("max_retries", 2.0, "max_retries is 2.0, not an integer"),
+        ("max_retries", True, "max_retries is true, not an integer"),
+        ("timeout_s", False, "timeout_s is false, not a number"),
+        ("temperature", "0", 'temperature is "0", not a number or null'),
+        ("max_output_tokens", 1.5, "max_output_tokens is 1.5, not an integer or null"),
+        ("name", 7, "name is 7, not a string"),
+        ("api_key_env", 1, "api_key_env is 1, not a string or null"),
+        ("headers", [], "headers is [], not an object"),
+        ("body", "x", 'body is "x", not an object or null'),
+        ("max_retries", -1, "max_retries is -1, which is negative"),
+        ("timeout_s", -0.5, "timeout_s is -0.5, which is negative"),
+        ("retry_base_s", -1, "retry_base_s is -1, which is negative"),
+    ],
+)
+def test_a_mistyped_or_negative_endpoint_field_names_the_file(tmp_path, field, value, detail):
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"name": "e", "url": "http://x", field: value}))
+    with pytest.raises(ValueError) as exc:
+        EndpointConfig.from_file(path)
+    assert str(exc.value) == f"{path}: {detail}"
+
+
 def test_missing_credential_is_an_error(monkeypatch):
     monkeypatch.delenv("NOPE_KEY", raising=False)
     endpoint = EndpointConfig(name="e", url="http://x", api_key_env="NOPE_KEY")
