@@ -132,12 +132,24 @@ _CLOSERS = {NameTag: "$$$", RemovedContext: "&&&", ProblemeseSpan: "@@@"}
 
 
 def serialize(doc: AnnotatedDocument) -> str:
-    """Exact inverse of parse: markers re-wrapped around verbatim source text."""
+    """Exact inverse of parse: markers re-wrapped around verbatim source text.
+
+    A document that ``parse`` would not return from that text is refused
+    with ``ValueError``: adjacent or empty ``PlainText`` segments, or a
+    joint between segments that forms a marker triple or an escape.
+    """
     out = []
     for seg in doc.segments:
         marker = _CLOSERS.get(type(seg), "")
         out.append(f"{marker}{seg.text}{marker}")
-    return "".join(out)
+    text = "".join(out)
+    try:
+        reparsed = parse(text)
+    except MarkerError as exc:
+        raise ValueError(f"document does not reparse from {text!r}: {exc}") from None
+    if reparsed != doc:
+        raise ValueError(f"document reparses from {text!r} as a different document")
+    return text
 
 
 def render(doc: AnnotatedDocument) -> str:

@@ -43,7 +43,6 @@ from .rulesets import (
     _norm,
     ruleset_from_dict,
     sample_distinct,
-    validate_ruleset,
 )
 
 SCHEMA_VERSION = 1
@@ -188,10 +187,6 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
         raise ValueError("language.speakers must be a positive integer")
 
     ruleset = read(RULESET_FILE, ruleset_from_dict)
-    issues = validate_ruleset(ruleset)
-    if issues:
-        raise ValueError("invalid ruleset: " + "; ".join(str(i) for i in issues))
-
     raw_answers = read(ANSWERS_FILE, list, list)
 
     text = _norm((path / PROBLEM_FILE).read_text(encoding="utf-8"))

@@ -134,8 +134,10 @@ class ScoreTensor:
         """The tensor ``to_dict`` wrote.
 
         ``ValueError`` if there is no problem, or naming a problem given
-        twice, a problem of another shape, or a problem and its p with a
-        cell that is not the JSON integer 0 or 1.
+        twice, a problem whose ``speakers`` is not a positive JSON integer
+        or whose ``difficulty`` is not a string, a problem of another
+        shape, or a problem and its p with a cell that is not the JSON
+        integer 0 or 1.
         """
         problems = []
         seen = set()
@@ -150,6 +152,10 @@ class ScoreTensor:
             if problem.problem_id in seen:
                 raise ValueError(f"problem {problem.problem_id} appears more than once")
             seen.add(problem.problem_id)
+            if type(problem.speakers) is not int or problem.speakers < 1:
+                _refuse_field(problem, "speakers", problem.speakers, "a positive integer")
+            if not isinstance(problem.difficulty, str):
+                _refuse_field(problem, "difficulty", problem.difficulty, "a string")
             shape = [len(q) for q in problem.answer_types]
             if not (problem.scores and shape and all(shape)):
                 raise ValueError(f"problem {problem.problem_id}: empty scores or answer_types")
@@ -167,6 +173,11 @@ class ScoreTensor:
         if not problems:
             raise ValueError("score tensor has no problems")
         return cls(problems=tuple(problems), case_sensitive=data.get("case_sensitive", True))
+
+
+def _refuse_field(problem: ProblemScores, name: str, value, expected: str) -> None:
+    shown = json.dumps(value, ensure_ascii=False)
+    raise ValueError(f"problem {problem.problem_id}: {name} is {shown}, not {expected}")
 
 
 def _refuse_cells(problem: ProblemScores) -> None:

@@ -98,12 +98,8 @@ def answer_skeleton(keys: Sequence[str]) -> str:
     return json.dumps({key: "" for key in keys}, ensure_ascii=False)
 
 
-def build_prompt(
-    variant: Variant,
-    question_index: int,
-    *,
-    no_context: bool = False,
-    guidance: str | None = None,
+def _fill(
+    variant: Variant, sheet: str, question_index: int, no_context: bool, guidance: str | None
 ) -> PromptInstance:
     """Fill the template for one (variant, question) pair.
 
@@ -111,16 +107,6 @@ def build_prompt(
     ``no_context``), the chosen question's sub-questions, optional
     guidance, instructions, JSON skeleton.
     """
-    return _fill(variant, _sheet_text(variant), question_index, no_context, guidance)
-
-
-def _fill(
-    variant: Variant, sheet: str, question_index: int, no_context: bool, guidance: str | None
-) -> PromptInstance:
-    if not 0 <= question_index < len(variant.questions):
-        raise IndexError(
-            f"question index {question_index} out of range for {variant.variant_id}"
-        )
     record = variant.questions[question_index]
     keys = record.expected_keys
 
@@ -159,12 +145,17 @@ def build_prompts(
 
     ``question_index`` restricts output to one question index per variant
     (variants lacking that index are skipped).  Raises ``ValueError`` for
-    a negative index, and as ``corpus.group_variants`` does, before the
-    first prompt is yielded.
+    a negative index, an index that no variant has, and as
+    ``corpus.group_variants`` does, before the first prompt is yielded.
     """
     if question_index is not None and question_index < 0:
         raise ValueError(f"question index {question_index} is negative")
-    for variant in group_variants(records):
+    variants = group_variants(records)
+    if question_index is not None and not any(
+        question_index < len(variant.questions) for variant in variants
+    ):
+        raise ValueError(f"no variant has question index {question_index}")
+    for variant in variants:
         indices = (
             range(len(variant.questions))
             if question_index is None

@@ -49,11 +49,11 @@ MARKER_CHARS = frozenset("$&@")
 
 
 class RulesetError(ValueError):
-    """Raised when an operation is asked to use an invalid ruleset."""
+    """Raised by ``Ruleset(...)``; ``issues`` lists every violation, never none."""
 
     def __init__(self, issues: Sequence["ValidationIssue"]):
         self.issues = list(issues)
-        super().__init__("; ".join(str(i) for i in self.issues) or "invalid ruleset")
+        super().__init__("; ".join(str(i) for i in self.issues))
 
 
 class MapMismatchError(ValueError):
@@ -85,6 +85,11 @@ class Ruleset:
     sets: tuple[tuple[str, ...], ...] = ()
     tables: tuple[Table, ...] = ()
     free_tables: tuple[FreeTable, ...] = ()
+
+    def __post_init__(self):
+        issues = validate_ruleset(self)
+        if issues:
+            raise RulesetError(issues)
 
     @property
     def inventory(self) -> tuple[str, ...]:
@@ -200,8 +205,9 @@ def _check_grapheme(text: str, collection: str, index: int | None) -> list[Valid
 def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
     """Every violated invariant, with collection index and offending grapheme.
 
-    An empty report means the ruleset is valid.  Violations are data, not
-    exceptions: loaders collect them per problem.
+    ``Ruleset.__post_init__`` is the one caller: it raises
+    :class:`RulesetError` with this list when it is not empty, so every
+    ``Ruleset`` object is valid and nothing that takes one checks it again.
     """
     issues: list[ValidationIssue] = []
     seen: dict[str, str] = {}
@@ -262,12 +268,6 @@ def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
     return issues
 
 
-def _require_valid(ruleset: Ruleset) -> None:
-    issues = validate_ruleset(ruleset)
-    if issues:
-        raise RulesetError(issues)
-
-
 # ---------------------------------------------------------------------------
 # Counting
 
@@ -278,7 +278,6 @@ def count_permutations(ruleset: Ruleset) -> int:
     sets contribute |S|!, tables and free-tables
     (#columns)! * prod over source cells |cell|! (1 for a table's cells).
     """
-    _require_valid(ruleset)
     return _count(ruleset, cycles=False)
 
 
@@ -288,12 +287,11 @@ def count_cycle_permutations(ruleset: Ruleset) -> int:
     Sets and column groups contribute (n-1)! instead of n!; within-cell
     bijections of free-tables are unconstrained so still contribute |cell|!.
     """
-    _require_valid(ruleset)
     return _count(ruleset, cycles=True)
 
 
 def _count(ruleset: Ruleset, *, cycles: bool) -> int:
-    """Product of the collection factors of a valid ruleset: (n-1)! per cycle, else n!."""
+    """Product of the collection factors of a ruleset: (n-1)! per cycle, else n!."""
     shift = 1 if cycles else 0
     total = 1
     for s in ruleset.sets:
@@ -319,14 +317,9 @@ def sample_permutation(ruleset: Ruleset, seed: int) -> PermutationMap:
     groups are arranged in one uniformly chosen full cycle; free-table
     cells then receive independent uniform bijections onto the same-row
     cell of the image column.  Full cycles guarantee no fixed points
-    outside the fixed set.
+    outside the fixed set; every collection of a ``Ruleset`` can be
+    deranged, since it is valid by construction.
     """
-    _require_valid(ruleset)
-    return _sample(ruleset, seed)
-
-
-def _sample(ruleset: Ruleset, seed: int) -> PermutationMap:
-    """sample_permutation of a ruleset already known to be valid."""
     pairs: dict[str, str] = {}
 
     for idx, s in enumerate(ruleset.sets):
@@ -353,20 +346,18 @@ def _column_cycle(rng: SplitMix64, columns: Sequence) -> Iterator[tuple]:
 def sample_distinct(ruleset: Ruleset, n: int, seed: int) -> list[PermutationMap]:
     """Up to ``n`` pairwise-distinct sampled maps, deterministic in inputs.
 
-    Validates the ruleset once, draws what sample_permutation would under
-    derived sub-seeds, and drops duplicates by content.  Returns min(n,
-    support size) maps; a short list signals that the ruleset admits fewer
-    distinct permutations than requested.
+    Draws sample_permutation under derived sub-seeds and drops duplicates
+    by content.  Returns min(n, support size) maps; a short list signals
+    that the ruleset admits fewer distinct permutations than requested.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    _require_valid(ruleset)
     target = min(n, _count(ruleset, cycles=True))
     out: list[PermutationMap] = []
     seen: set[tuple[tuple[str, str], ...]] = set()
     attempt = 0
     while len(out) < target:
-        pm = _sample(ruleset, derive_seed(seed, "variant", attempt))
+        pm = sample_permutation(ruleset, derive_seed(seed, "variant", attempt))
         attempt += 1
         if pm.key() in seen:
             continue
@@ -390,12 +381,9 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
 
     Checks bijectivity over the inventory, structure preservation for
     every collection, identity on the fixed set, and (for sampled maps)
-    the absence of fixed points outside the fixed set.  An invalid ruleset
-    admits no map; its validation issues are reported instead.
+    the absence of fixed points outside the fixed set.  The ruleset itself
+    is valid by construction, so every issue is the map's.
     """
-    invalid = validate_ruleset(ruleset)
-    if invalid:
-        return [f"invalid ruleset: {issue}" for issue in invalid]
     problems: list[str] = []
     inventory = set(ruleset.inventory)
     domain = set(pmap.pairs.keys())

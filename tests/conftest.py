@@ -1,9 +1,22 @@
 from __future__ import annotations
 
 import string
+import warnings
 from pathlib import Path
 
 import pytest
+
+# Hypothesis imports its failing-example patch writer only after a @given
+# test fails, inside pytest's report hook.  That module imports libcst, whose
+# import warns; under -W error the warning becomes an INTERNALERROR and the
+# falsifying example is never printed.  Importing it here, with the warning
+# ignored, leaves the hook's later import nothing to raise.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from lingobf import annotations
 from lingobf.corpus import Corpus, build_dataset, load_corpus

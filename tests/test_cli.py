@@ -368,8 +368,38 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
             ]}),
             "problem x1 appears more than once",
         ),
+        *(
+            (
+                json.dumps({"problems": [{
+                    "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+                    "scores": [[[1, 0]]], "answer_types": [["YN", "YN"]], name: value,
+                }]}),
+                f"problem x1: {name} is {json.dumps(value)}, not {expected}",
+            )
+            for name, value, expected in [
+                ("speakers", 0, "a positive integer"),
+                ("speakers", -3, "a positive integer"),
+                ("speakers", True, "a positive integer"),
+                ("speakers", "9", "a positive integer"),
+                ("speakers", 9.5, "a positive integer"),
+                ("difficulty", 5, "a string"),
+            ]
+        ),
     ],
-    ids=["bad-json", "list", "no-problems", "empty-problems", "ragged", "repeated-problem"],
+    ids=[
+        "bad-json",
+        "list",
+        "no-problems",
+        "empty-problems",
+        "ragged",
+        "repeated-problem",
+        "speakers-zero",
+        "speakers-negative",
+        "speakers-bool",
+        "speakers-string",
+        "speakers-float",
+        "difficulty-number",
+    ],
 )
 def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
     scores = tmp_path / "scores.json"

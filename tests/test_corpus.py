@@ -121,6 +121,12 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
             '{"free_tables": [{"columns": [["p"], "b"]}]}',
             "ruleset.json: free_tables[0].columns[1] must be a list, not the string 'b'",
         ),
+        (
+            "ruleset.json",
+            '{"sets": [["p", "b"], ["q"], ["a", "@"]]}',
+            "ruleset.json: set[1]: set of size 1 cannot be deranged; "
+            "set[2]: grapheme '@' contains an annotation marker character",
+        ),
     ],
     ids=[
         "meta-list",
@@ -141,6 +147,7 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         "table-column-string",
         "free-table-columns-string",
         "free-table-column-string",
+        "invalid-ruleset",
     ],
 )
 def test_malformed_json_file_is_that_problems_load_failure(

@@ -6,37 +6,37 @@ import json
 
 import pytest
 
-from lingobf.corpus import group_variants
+from lingobf.cli import main
+from lingobf.corpus import write_dataset
 from lingobf.prompts import (
     INSTRUCTIONS,
     SYSTEM_MESSAGE,
     answer_skeleton,
-    build_prompt,
     build_prompts,
     load_prompts,
     write_prompts,
 )
 
 
-@pytest.fixture(scope="module")
-def variants(dataset):
-    return {v.variant_id: v for v in group_variants(dataset)}
+def _prompt(dataset, prompt_id: str, **options):
+    """The prompt ``build_prompts`` gives for ``prompt_id`` (``problem:p{p}:q{j}``)."""
+    return next(p for p in build_prompts(dataset, **options) if p.prompt_id == prompt_id)
 
 
-def test_system_message_is_fixed(variants):
-    prompt = build_prompt(variants["birds-x:p0"], 0)
+def test_system_message_is_fixed(dataset):
+    prompt = _prompt(dataset, "birds-x:p0:q0")
     assert prompt.system_message == "You are a helpful assistant."
     assert SYSTEM_MESSAGE == "You are a helpful assistant."
 
 
-def test_prompt_contains_literal_instruction_sentence(variants):
-    prompt = build_prompt(variants["birds-x:p0"], 0)
+def test_prompt_contains_literal_instruction_sentence(dataset):
+    prompt = _prompt(dataset, "birds-x:p0:q0")
     assert "Only respond with json output." in prompt.user_message
     assert INSTRUCTIONS in prompt.user_message
 
 
-def test_prompt_golden_shape(variants):
-    prompt = build_prompt(variants["birds-x:p0"], 1)
+def test_prompt_golden_shape(dataset):
+    prompt = _prompt(dataset, "birds-x:p0:q1")
     context = (
         "Study these words and their meanings.\n\nlami bird\nlamisu two birds\n"
         "tozi fish\ntozisu two fish\npek dog\n "  # trailing space: removed context
@@ -71,16 +71,16 @@ def test_skeleton_lists_expected_keys_in_order():
     assert list(json.loads(answer_skeleton(["b", "a"]))) == ["b", "a"]
 
 
-def test_idempotent_build(variants):
-    a = build_prompt(variants["rivers-z:p2"], 0)
-    b = build_prompt(variants["rivers-z:p2"], 0)
+def test_idempotent_build(dataset):
+    a = _prompt(dataset, "rivers-z:p2:q0")
+    b = _prompt(dataset, "rivers-z:p2:q0")
     assert a == b
 
 
-def test_no_context_removes_exactly_the_context_block(variants):
-    variant = variants["birds-x:p0"]
-    with_ctx = build_prompt(variant, 0).user_message.splitlines(keepends=True)
-    without = build_prompt(variant, 0, no_context=True).user_message.splitlines(keepends=True)
+def test_no_context_removes_exactly_the_context_block(dataset):
+    prompt_id = "birds-x:p0:q0"
+    with_ctx = _prompt(dataset, prompt_id).user_message.splitlines(keepends=True)
+    without = _prompt(dataset, prompt_id, no_context=True).user_message.splitlines(keepends=True)
     diff = [
         line
         for line in difflib.ndiff(with_ctx, without)
@@ -88,21 +88,35 @@ def test_no_context_removes_exactly_the_context_block(variants):
     ]
     removed = "".join(line[2:] for line in diff if line.startswith("- "))
     assert not any(line.startswith("+ ") for line in diff)
-    assert removed.rstrip("\n") == variant.questions[0].context
+    record = next(r for r in dataset if r.prompt_id == prompt_id)
+    assert removed.rstrip("\n") == record.context
 
 
-def test_guidance_inserted_before_instructions(variants):
+def test_guidance_inserted_before_instructions(dataset):
     guidance = "First find the plural suffix, then apply it."
-    user = build_prompt(variants["birds-x:p0"], 0, guidance=guidance).user_message
+    user = _prompt(dataset, "birds-x:p0:q0", guidance=guidance).user_message
     assert guidance in user
     assert user.index(guidance) < user.index(INSTRUCTIONS)
     lines = user.splitlines()
     assert lines[lines.index(guidance) + 2] == INSTRUCTIONS
 
 
-def test_question_index_out_of_range(variants):
-    with pytest.raises(IndexError):
-        build_prompt(variants["voicing-y:p0"], 1)
+def test_question_index_out_of_range(dataset, tmp_path, capsys):
+    # No fixture problem has a question 99: prompt is refused before it
+    # builds a prompt, and writes no file.
+    with pytest.raises(ValueError, match="^no variant has question index 99$"):
+        next(build_prompts(dataset, question_index=99))
+    write_dataset(dataset, tmp_path / "dataset")
+    capsys.readouterr()
+    out = tmp_path / "p.jsonl"
+    assert main(["prompt", str(tmp_path / "dataset"), "--out", str(out), "--question", "99"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "detail": "no variant has question index 99",
+    }
+    assert [path.name for path in tmp_path.iterdir()] == ["dataset"]
 
 
 def test_build_prompts_covers_every_variant_question(dataset):
@@ -151,8 +165,8 @@ def test_load_prompts_rejects_a_non_object_line(dataset, tmp_path):
         load_prompts(path)
 
 
-def test_obfuscated_prompt_keeps_solverese(variants):
-    original = build_prompt(variants["voicing-y:p0"], 0).user_message
-    obfuscated = build_prompt(variants["voicing-y:p1"], 0).user_message
+def test_obfuscated_prompt_keeps_solverese(dataset):
+    original = _prompt(dataset, "voicing-y:p0:q0").user_message
+    obfuscated = _prompt(dataset, "voicing-y:p1:q0").user_message
     assert original != obfuscated
     assert "Translate into Language X." in obfuscated  # Solverese untouched

@@ -47,63 +47,68 @@ def test_valid_rulesets_have_empty_reports():
         assert validate_ruleset(rs) == []
 
 
+def _issues(**fields):
+    """The issues of the RulesetError that ``Ruleset(**fields)`` raises."""
+    with pytest.raises(RulesetError) as refused:
+        Ruleset(**fields)
+    return refused.value.issues
+
+
 def test_duplicate_grapheme_across_sets():
-    report = validate_ruleset(Ruleset(sets=(("a", "b"), ("a", "c"))))
+    report = _issues(sets=(("a", "b"), ("a", "c")))
     assert any(i.code == "duplicate" and i.grapheme == "a" for i in report)
 
 
 def test_duplicate_between_fixed_and_set():
-    report = validate_ruleset(Ruleset(fixed=("a",), sets=(("a", "b"),)))
+    report = _issues(fixed=("a",), sets=(("a", "b"),))
     assert any(i.code == "duplicate" for i in report)
 
 
 def test_singleton_set_rejected():
-    report = validate_ruleset(Ruleset(sets=(("q",),)))
+    report = _issues(sets=(("q",),))
     assert any(i.code == "set_too_small" for i in report)
 
 
 def test_single_column_table_rejected():
-    report = validate_ruleset(Ruleset(tables=(Table(columns=(("p", "b"),)),)))
+    report = _issues(tables=(Table(columns=(("p", "b"),)),))
     assert any(i.code == "table_too_narrow" for i in report)
 
 
 def test_ragged_table_rejected():
-    report = validate_ruleset(Ruleset(tables=(Table(columns=(("p", "b"), ("t",))),)))
+    report = _issues(tables=(Table(columns=(("p", "b"), ("t",))),))
     assert any(i.code == "ragged_table" for i in report)
 
 
 def test_ragged_free_table_cells_rejected():
-    rs = Ruleset(
-        free_tables=(FreeTable(columns=((("m",), ("p", "b")), (("n",), ("t",)))),)
-    )
-    assert any(i.code == "ragged_cells" for i in validate_ruleset(rs))
+    report = _issues(free_tables=(FreeTable(columns=((("m",), ("p", "b")), (("n",), ("t",)))),))
+    assert any(i.code == "ragged_cells" for i in report)
 
 
 def test_ragged_free_table_rejected():
-    rs = Ruleset(free_tables=(FreeTable(columns=((("m",), ("p",)), (("n",),))),))
-    assert [(i.code, i.collection, i.message) for i in validate_ruleset(rs)] == [
+    report = _issues(free_tables=(FreeTable(columns=((("m",), ("p",)), (("n",),))),))
+    assert [(i.code, i.collection, i.message) for i in report] == [
         ("ragged_table", "free_table", "column lengths differ: [1, 2]")
     ]
 
 
 @pytest.mark.parametrize(
-    "rs",
+    "rs",  # the fields of a ruleset
     [
-        Ruleset(tables=(Table(columns=((), ())),)),
-        Ruleset(free_tables=(FreeTable(columns=((), ())),)),
+        {"tables": (Table(columns=((), ())),)},
+        {"free_tables": (FreeTable(columns=((), ())),)},
     ],
 )
 def test_empty_column_rejected(rs):
-    assert [i.code for i in validate_ruleset(rs)] == ["empty_column"]
+    assert [i.code for i in _issues(**rs)] == ["empty_column"]
 
 
 def test_marker_characters_rejected():
-    report = validate_ruleset(Ruleset(sets=(("a", "@"),)))
+    report = _issues(sets=(("a", "@"),))
     assert any(i.code == "marker_char" for i in report)
 
 
 def test_empty_grapheme_rejected():
-    report = validate_ruleset(Ruleset(fixed=("",)))
+    report = _issues(fixed=("",))
     assert any(i.code == "empty_grapheme" for i in report)
 
 
@@ -129,8 +134,8 @@ def test_count_fixed_only_is_identity():
 
 
 def test_count_rejects_invalid():
-    with pytest.raises(RulesetError):
-        count_permutations(Ruleset(sets=(("q",),)))
+    # Counting never sees an invalid ruleset: constructing one is refused.
+    assert [i.code for i in _issues(sets=(("q",),))] == ["set_too_small"]
 
 
 def _brute_force_cycle_count(rs: Ruleset) -> int:
@@ -316,18 +321,6 @@ def test_map_issues_names_the_cell_of_a_broken_table():
         "table[0] column 0 row 0 cell image is not a cell",
         "table[0] column 0 row 1 cell image is not a cell",
     ]
-
-
-@pytest.mark.parametrize(
-    "rs",
-    [
-        Ruleset(tables=(Table(columns=(("p", "b"), ("t",))),)),
-        Ruleset(free_tables=(FreeTable(columns=((("p",), ("b",)), (("t",),))),)),
-    ],
-)
-def test_map_issues_reports_an_invalid_ruleset(rs):
-    pm = PermutationMap(pairs={"p": "t", "t": "p", "b": "b"}, ruleset_id=rs.ident)
-    assert map_issues(rs, pm) == [f"invalid ruleset: {issue}" for issue in validate_ruleset(rs)]
 
 
 # ---------------------------------------------------------------------------
