@@ -384,8 +384,9 @@ def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
 
     This is the layout of the score tensor L(i, j, k, p), so every variant
     of a problem must repeat its p = 0: a problem's p values must be
-    exactly 0..P, and every variant must have p = 0's question indices and,
-    per question, its sub-question keys in order.  Otherwise ``ValueError``
+    exactly 0..P, p = 0's question indices exactly 0..n-1, and every
+    variant must have p = 0's question indices and, per question, its
+    sub-question keys in order.  Otherwise ``ValueError``
     names the problem and, for a variant that differs, its p.
     """
     by_problem: dict[str, dict[int, list[DatasetRecord]]] = {}
@@ -404,6 +405,10 @@ def group_variants(records: Iterable[DatasetRecord]) -> list[Variant]:
                 raise ValueError(f"{where}: variant p={p} repeats a question index")
             if p == 0:
                 original = shape
+                if list(shape) != list(range(len(shape))):
+                    raise ValueError(
+                        f"{where}: question indices {list(shape)} are not 0..{len(shape) - 1}"
+                    )
             if shape != original:
                 _refuse_shape(where, p, shape, original)
             variants.append(Variant(problem_id=problem_id, p=p, questions=recs))

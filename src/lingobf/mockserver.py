@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from http.client import HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Iterable
 
@@ -59,10 +60,21 @@ def knowledge_reply(corpus: Corpus, records: Iterable[DatasetRecord]) -> ReplyFn
 
 
 class MockModelServer:
-    """Context manager running a scripted model endpoint on a free port."""
+    """Context manager running a scripted model endpoint on a free port.
+
+    It speaks HTTP/1.1 with keep-alive and, like ``http.server`` handlers
+    in general, leaves Nagle's algorithm on and writes the headers and the
+    body separately.  ``connections`` counts the connections it accepted,
+    ``hung_up`` those it served until the client closed them, and
+    ``requests`` holds each request's target, headers and body bytes.
+    """
 
     def __init__(self, reply_fn: ReplyFn):
         self.reply_fn = reply_fn
+        self.connections = 0
+        self.hung_up = 0
+        self.requests: list[tuple[str, HTTPMessage, bytes]] = []
+        self._lock = threading.Lock()
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -73,12 +85,25 @@ class MockModelServer:
         return f"http://{host}:{port}/v1/chat/completions"
 
     def __enter__(self) -> "MockModelServer":
-        reply_fn = self.reply_fn
+        mock = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def handle(self):
+                with mock._lock:
+                    mock.connections += 1
+                super().handle()
+                if not self.raw_requestline:  # the client closed the connection
+                    with mock._lock:
+                        mock.hung_up += 1
+
             def do_POST(self):  # noqa: N802 - http.server API
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length) or b"{}")
+                data = self.rfile.read(length)
+                with mock._lock:
+                    mock.requests.append((self.path, self.headers, data))
+                body = json.loads(data or b"{}")
                 system = ""
                 user = ""
                 for message in body.get("messages", []):
@@ -86,7 +111,7 @@ class MockModelServer:
                         system = message.get("content", "")
                     elif message.get("role") == "user":
                         user = message.get("content", "")
-                reply = reply_fn(system, user)
+                reply = mock.reply_fn(system, user)
                 if isinstance(reply, tuple):
                     status, text = reply
                 else:
@@ -105,7 +130,9 @@ class MockModelServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self._thread.start()
         return self
 

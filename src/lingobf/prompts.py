@@ -11,8 +11,9 @@ reasoning steps) is inserted immediately before the instructions.
 
 Prompts are built per variant from ``corpus.group_variants``, which
 ``metrics.score_run`` scores too: ``prompt`` refuses what ``score``
-refuses, a variant whose questions or sub-question keys differ from
-p = 0's, with a ``ValueError`` naming the problem and p.
+refuses, p = 0 question indices that are not 0..n-1 and a variant whose
+questions or sub-question keys differ from p = 0's, with a ``ValueError``
+naming the problem and, for a variant, its p.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ incorrect.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import jsonio
+from . import __version__, jsonio
 from .prompts import PromptInstance
 
 STATUS_OK = "ok"
@@ -51,6 +52,8 @@ _JSON_TYPE_NAMES = {
 
 # transport(url, headers, body, timeout_s) -> (status_code, response_text)
 Transport = Callable[[str, dict, dict, float], tuple[int, str]]
+
+_USER_AGENT = f"lingobf/{__version__}"
 
 
 @dataclass(frozen=True)
@@ -152,26 +155,130 @@ def build_request(endpoint: EndpointConfig, prompt: PromptInstance) -> tuple[dic
     return headers, body
 
 
-def _http_transport(url: str, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
-    """POST ``body`` as UTF-8 JSON on a fresh connection.
+class _HTTPTransport:
+    """POST ``body`` as UTF-8 JSON over one kept-alive connection per worker thread and origin.
 
-    An HTTP error status comes back as ``(status, text)``, not as an
-    exception, so that ``_query_one`` decides what to retry.
+    A :data:`Transport`.  Every connection it opens is recorded, and
+    ``close`` (or leaving its ``with`` block) closes them all.  An HTTP
+    error status comes back as ``(status, text)``, not as an exception, so
+    that ``_query_one`` decides what to retry.  A request that fails closes
+    its connection and raises; it is never re-sent here.  A connection the
+    server closed while it was idle is replaced before the request is sent.
+
+    Proxies come from the environment (``http_proxy``, ``https_proxy``,
+    ``no_proxy``), resolved once per origin; HTTPS verifies against the
+    system CA store.
     """
-    import urllib.error
-    import urllib.request
 
-    data = json.dumps(body, allow_nan=False).encode("utf-8")
-    request = urllib.request.Request(url, data=data, headers=headers, method="POST")
-    if not request.has_header("Content-type"):
-        request.add_header("Content-Type", "application/json")
-    try:
-        response = urllib.request.urlopen(request, timeout=timeout_s)
-    except urllib.error.HTTPError as exc:
-        response = exc
-    with response:
+    def __init__(self) -> None:
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._opened: list = []
+        self._routes: dict[tuple[str, str], tuple[str | None, dict]] = {}
+
+    def __enter__(self) -> "_HTTPTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        with self._lock:
+            for connection in self._opened:
+                connection.close()
+            self._opened.clear()
+            self._local = threading.local()  # a later request opens a recorded connection
+
+    def __call__(self, url: str, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
+        import select
+        import socket
+        import urllib.parse
+
+        parts = urllib.parse.urlsplit(url)
+        proxy, proxy_headers = self._route(parts.scheme, parts.netloc)
+        connections = self._local.__dict__.setdefault("connections", {})
+        connection = connections.get((parts.scheme, parts.netloc))
+        if connection is None:
+            connection = connections[parts.scheme, parts.netloc] = self._open(
+                parts, proxy, proxy_headers
+            )
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # An idle connection has nothing to read unless the server
+            # closed it; request() below opens a new one.
+            connection.close()
+        connection.timeout = timeout_s
+        if connection.sock is not None:
+            connection.sock.settimeout(timeout_s)
+
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        headers = dict(headers)
+        if proxy is not None and parts.scheme == "http":
+            target = f"http://{parts.netloc}{target}"  # absolute form, for the proxy
+            headers.update(proxy_headers)
+        names = {name.lower() for name in headers}
+        if "content-type" not in names:
+            headers["Content-Type"] = "application/json"
+        if "user-agent" not in names:
+            headers["User-Agent"] = _USER_AGENT
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        try:
+            connection.request("POST", target, data, headers)
+            if hasattr(socket, "TCP_QUICKACK"):
+                # A server that writes the headers and then the body with
+                # Nagle's algorithm on holds the body until the headers are
+                # acknowledged, and on a reused connection the kernel would
+                # delay that acknowledgement by up to 40 ms.  Linux resets
+                # the option by itself, so it is set for every reply.
+                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+            response = connection.getresponse()
+            payload = response.read()
+        except BaseException:
+            connection.close()
+            raise
         charset = response.headers.get_content_charset() or "utf-8"
-        return response.status, response.read().decode(charset, errors="replace")
+        return response.status, payload.decode(charset, errors="replace")
+
+    def _route(self, scheme: str, netloc: str) -> tuple[str | None, dict]:
+        """The proxy ``host:port`` for an origin (None to go direct) and the headers it needs."""
+        route = self._routes.get((scheme, netloc))
+        if route is None:
+            import base64
+            import urllib.parse
+            import urllib.request
+
+            proxy = urllib.request.getproxies().get(scheme)
+            if not proxy or urllib.request.proxy_bypass(netloc):
+                route = (None, {})
+            else:
+                parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                proxy_headers = {}
+                if parts.username is not None:
+                    credentials = ":".join(
+                        urllib.parse.unquote(part or "") for part in (parts.username, parts.password)
+                    )
+                    proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                        credentials.encode("utf-8")
+                    ).decode("ascii")
+                route = (parts.netloc.rpartition("@")[2], proxy_headers)
+            self._routes[scheme, netloc] = route
+        return route
+
+    def _open(self, parts, proxy: str | None, proxy_headers: dict):
+        import http.client
+
+        if parts.scheme == "https":
+            connection = http.client.HTTPSConnection(proxy or parts.netloc)
+            if proxy is not None:
+                connection.set_tunnel(parts.netloc, headers=proxy_headers)
+        elif parts.scheme == "http":
+            connection = http.client.HTTPConnection(proxy or parts.netloc)
+        else:
+            raise ValueError(f"unknown url type: {parts.scheme!r}")
+        with self._lock:
+            self._opened.append(connection)
+        return connection
 
 
 def extract_text(envelope_text: str, response_path: str) -> str:
@@ -399,7 +506,9 @@ def run(
     skip prompt_ids that already have one.  Transport failures after the
     retry budget, and a 4xx reply other than 408 or 429 at once, become
     ``transport_error`` records, never exceptions.  A missing credential
-    raises before the run directory is touched.
+    raises before the run directory is touched.  Without ``transport``,
+    requests go over an ``_HTTPTransport`` whose connections are all closed
+    when the run ends.
     """
     if not prompts:
         raise ValueError("no prompts to run")
@@ -422,11 +531,10 @@ def run(
         {"schema_version": 1, "endpoint": endpoint.name, "prompts": len(prompts)},
     )
 
-    transport = transport or _http_transport
     lock = threading.Lock()
 
     def worker(prompt: PromptInstance) -> str:
-        record = _query_one(prompt, endpoint, transport)
+        record = _query_one(prompt, endpoint, send)
         line = jsonio.dumps(record.to_dict()) + "\n"
         with lock:
             records_file.write(line)
@@ -436,8 +544,12 @@ def run(
     statuses: list[str] = []
     if pending:
         # One append handle for the whole run; each record is flushed whole
-        # under the lock, so a crash can tear only the last line.
-        with records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
+        # under the lock, so a crash can tear only the last line.  The pool
+        # exits first, so the transport closes its connections only after
+        # every worker has finished, whether the run ends or raises.
+        with (
+            contextlib.nullcontext(transport) if transport else _HTTPTransport()
+        ) as send, records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
             max_workers=max(1, parallelism)
         ) as pool:
             statuses = list(pool.map(worker, pending))

@@ -265,6 +265,35 @@ def test_prompt_and_score_refuse_a_variant_unlike_p0(capsys, corpus_dir, tmp_pat
     assert not (tmp_path / "prompts.jsonl").exists() and not (tmp_path / "s").exists()
 
 
+def test_prompt_and_score_refuse_question_indices_that_do_not_start_at_0(
+    capsys, corpus_dir, tmp_path
+):
+    # Every birds-x record of question 0 is gone; its question 1 would be
+    # prompted as question 0, and --question 1 would skip birds-x.
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    lines = (ds / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    kept = [
+        line
+        for line, record in zip(lines, map(json.loads, lines))
+        if (record["problem_id"], record["question_index"]) != ("birds-x", 0)
+    ]
+    (ds / "records.jsonl").write_text("\n".join(kept) + "\n", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    for argv in (
+        ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl")),
+        ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl"), "--question", "1"),
+        ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "detail": "dataset for birds-x: question indices [1] are not 0..0",
+        }
+    assert not (tmp_path / "prompts.jsonl").exists() and not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize(
     "edit, detail",
     [

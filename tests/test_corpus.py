@@ -443,8 +443,15 @@ def _drop_first_key(record):
             r"dataset for voicing-y: variant p=1 question 0 has sub-question keys \['2'\], "
             r"p=0 has \['1', '2'\]",
         ),
+        (
+            lambda r: None if (r.problem_id, r.question_index) == ("birds-x", 0) else r,
+            r"dataset for birds-x: question indices \[1\] are not 0..0",
+        ),
     ],
-    ids=["p-gap", "question-missing", "question-extra", "question-repeated", "key-dropped"],
+    ids=[
+        "p-gap", "question-missing", "question-extra", "question-repeated", "key-dropped",
+        "question-index-gap",
+    ],
 )
 def test_group_variants_refuses_a_variant_unlike_p0(dataset, edit, error):
     records = [r for r in map(edit, dataset) if r is not None]

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import base64
+import contextlib
 import json
 import os
+import re
 import socket
+import statistics
 import subprocess
 import sys
 import threading
+import time
+import urllib.parse
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from lingobf import runner
 from lingobf.mockserver import MockModelServer
 from lingobf.prompts import PromptInstance, build_prompts, write_prompts
 from lingobf.runner import (
@@ -22,7 +29,7 @@ from lingobf.runner import (
     _LADDER,
     EndpointConfig,
     ResponseRecord,
-    _http_transport,
+    _HTTPTransport,
     _key_pairs,
     build_request,
     error_summary_table,
@@ -567,28 +574,165 @@ def test_http_transport_sends_non_ascii_intact(tmp_path):
     assert read_records(tmp_path / "run")["x:p0:q0"].parsed == {"1": user}
 
 
-def test_http_transport_sends_json_bytes_with_a_json_content_type(monkeypatch):
-    import urllib.request
-
-    sent = []
-
-    def offline(request, timeout):
-        sent.append(request)
-        raise OSError("offline")
-
-    monkeypatch.setattr(urllib.request, "urlopen", offline)
-    for headers in ({}, {"content-type": "text/plain"}):
-        with pytest.raises(OSError):
-            _http_transport("http://unused", headers, {"a": "é"}, 1.0)
-    assert [r.get_header("Content-type") for r in sent] == ["application/json", "text/plain"]
-    assert sent[0].data == b'{"a": "\\u00e9"}'
+def test_http_transport_sends_json_bytes_with_a_json_content_type():
+    with MockModelServer(lambda system, user: "") as server, _HTTPTransport() as transport:
+        for headers in ({}, {"content-type": "text/plain"}):
+            transport(server.url, headers, {"a": "é"}, 5.0)
+    assert [h["Content-Type"] for _, h, _ in server.requests] == ["application/json", "text/plain"]
+    assert server.requests[0][2] == b'{"a": "\\u00e9"}'
 
 
 @pytest.mark.parametrize("code", [500, 429])
 def test_http_transport_returns_an_error_status(code):
     with MockModelServer(lambda system, user: (code, "planted fault")) as server:
-        got = _http_transport(server.url, {}, {"messages": []}, 5.0)
+        with _HTTPTransport() as transport:
+            got = transport(server.url, {}, {"messages": []}, 5.0)
     assert got == (code, "planted fault")
+
+
+def pong(system, user):
+    return json.dumps({"1": "pong"})
+
+
+def test_a_parallel_run_opens_at_most_one_connection_per_worker(tmp_path):
+    with MockModelServer(pong) as server:
+        endpoint = EndpointConfig(name="http-mock", url=server.url, retry_base_s=0.0)
+        prompts = [make_prompt(i) for i in range(12)]
+        summary = run(prompts, endpoint, tmp_path / "run", parallelism=3)
+    assert (summary["ok"], len(server.requests)) == (12, 12)
+    assert 1 <= server.connections <= 3
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+def test_run_closes_every_connection_it_opened(tmp_path, monkeypatch, fails):
+    made = []
+
+    class Kept(runner._HTTPTransport):
+        def __init__(self):
+            super().__init__()
+            made.append(self)  # kept alive, so no garbage collection closes a connection
+
+    monkeypatch.setattr(runner, "_HTTPTransport", Kept)
+    if fails:
+        def broken(raw, expected_keys):
+            raise RuntimeError("planted parser fault")
+
+        monkeypatch.setattr(runner, "parse_response", broken)
+    # Eight workers, switching threads as often as the interpreter allows:
+    # a connection lost from the transport's record stays open.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with MockModelServer(pong) as server:
+            endpoint = EndpointConfig(name="http-mock", url=server.url, retry_base_s=0.0)
+            prompts = [make_prompt(i) for i in range(24)]
+            with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+                run(prompts, endpoint, tmp_path / "run", parallelism=8)
+            deadline = time.monotonic() + 5
+            while server.hung_up < server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(made) == 1 and server.connections >= 1
+    assert server.hung_up == server.connections
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="TCP_QUICKACK is Linux's")
+def test_replies_on_a_reused_connection_are_not_held_by_delayed_acks(tmp_path):
+    # MockModelServer sends the headers and the body as two writes with
+    # Nagle's algorithm on: without an immediate ACK of the headers, each
+    # reply on a reused connection waits for the client's delayed ACK.
+    with MockModelServer(pong) as server:
+        endpoint = EndpointConfig(name="http-mock", url=server.url, retry_base_s=0.0)
+        run([make_prompt(i) for i in range(20)], endpoint, tmp_path / "run", parallelism=1)
+    assert server.connections == 1
+    latencies = [r.latency_ms for r in read_records(tmp_path / "run").values()]
+    assert statistics.median(latencies) < 20
+
+
+def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
+    envelope = json.dumps({"choices": [{"message": {"content": pong("", "")}}]}).encode()
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(envelope), envelope)
+    hung_up = threading.Event()
+    hung_up.set()
+
+    def serve(listener):
+        # One request per connection, then close it without "Connection: close".
+        for _ in range(3):
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(65536)
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = int(re.search(rb"(?i)content-length: *(\d+)", head)[1])
+                while len(body) < length:
+                    body += conn.recv(65536)
+                conn.sendall(reply)
+            hung_up.set()
+
+    def after_the_server_hangs_up(url, headers, body, timeout):
+        hung_up.wait(5)
+        hung_up.clear()
+        return transport(url, headers, body, timeout)
+
+    with socket.create_server(("127.0.0.1", 0)) as listener, _HTTPTransport() as transport:
+        server = threading.Thread(target=serve, args=(listener,), daemon=True)
+        server.start()
+        port = listener.getsockname()[1]
+        endpoint = EndpointConfig(
+            name="drops", url=f"http://127.0.0.1:{port}/v1", retry_base_s=0.0, max_retries=2
+        )
+        prompts = [make_prompt(i) for i in range(3)]
+        run(prompts, endpoint, tmp_path / "run", parallelism=1, transport=after_the_server_hangs_up)
+        server.join(timeout=5)
+    assert not server.is_alive()
+    records = read_records(tmp_path / "run").values()
+    assert [(r.status, r.attempts) for r in records] == [(STATUS_OK, 1)] * 3
+
+
+@pytest.fixture
+def no_proxy_environment(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_run_sends_an_absolute_form_target_to_the_http_proxy(tmp_path, no_proxy_environment):
+    with MockModelServer(pong) as proxy:
+        origin = urllib.parse.urlsplit(proxy.url).netloc
+        no_proxy_environment.setenv("http_proxy", f"http://user:p%40ss@{origin}")
+        url = "http://model.invalid:8080/v1/chat/completions?x=1"
+        endpoint = EndpointConfig(name="proxied", url=url, retry_base_s=0.0)
+        summary = run([make_prompt(0)], endpoint, tmp_path / "run")
+    assert summary["ok"] == 1
+    [(target, headers, _)] = proxy.requests
+    assert target == url
+    assert headers["Host"] == "model.invalid:8080"
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_no_proxy_sends_the_request_direct(tmp_path, no_proxy_environment):
+    with MockModelServer(pong) as server:
+        no_proxy_environment.setenv("http_proxy", "http://127.0.0.1:9")
+        no_proxy_environment.setenv("no_proxy", "127.0.0.1")
+        endpoint = EndpointConfig(name="direct", url=server.url, retry_base_s=0.0)
+        summary = run([make_prompt(0)], endpoint, tmp_path / "run")
+    assert summary["ok"] == 1
+    assert [target for target, _, _ in server.requests] == ["/v1/chat/completions"]
+
+
+def test_an_https_request_through_a_proxy_asks_for_a_tunnel(tmp_path, no_proxy_environment):
+    with MockModelServer(pong) as proxy:  # it answers CONNECT with 501
+        origin = urllib.parse.urlsplit(proxy.url).netloc
+        no_proxy_environment.setenv("https_proxy", f"http://{origin}")
+        endpoint = EndpointConfig(
+            name="tunnel", url="https://model.invalid/v1", retry_base_s=0.0, max_retries=0
+        )
+        summary = run([make_prompt(0)], endpoint, tmp_path / "run")
+    assert summary["transport_error"] == 1
+    assert "Tunnel connection failed: 501" in read_records(tmp_path / "run")["x:p0:q0"].raw_text
 
 
 def test_connection_refused_becomes_a_transport_error(tmp_path):
