@@ -32,6 +32,7 @@ import re
 import threading
 import time
 import typing
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -50,8 +51,8 @@ _JSON_TYPE_NAMES = {
     str: "a string", int: "an integer", float: "a number", dict: "an object", type(None): "null"
 }
 
-# transport(url, headers, body, timeout_s) -> (status_code, response_text)
-Transport = Callable[[str, dict, dict, float], tuple[int, str]]
+# transport(headers, body, timeout_s) -> (status_code, response_text)
+Transport = Callable[[dict, dict, float], tuple[int, str]]
 
 _USER_AGENT = f"lingobf/{__version__}"
 
@@ -156,25 +157,56 @@ def build_request(endpoint: EndpointConfig, prompt: PromptInstance) -> tuple[dic
 
 
 class _HTTPTransport:
-    """POST ``body`` as UTF-8 JSON over one kept-alive connection per worker thread and origin.
+    """POST ``body`` as UTF-8 JSON to ``url`` over a pool of kept-alive connections.
 
-    A :data:`Transport`.  Every connection it opens is recorded, and
-    ``close`` (or leaving its ``with`` block) closes them all.  An HTTP
-    error status comes back as ``(status, text)``, not as an exception, so
-    that ``_query_one`` decides what to retry.  A request that fails closes
-    its connection and raises; it is never re-sent here.  A connection the
-    server closed while it was idle is replaced before the request is sent.
+    A :data:`Transport` for one endpoint: the request target, the proxy
+    and its credentials are worked out once, here.  A request takes an
+    idle connection (or opens one) and puts it back when it ends, so no
+    more connections are open than requests were ever in flight at once;
+    ``close`` (or leaving its ``with`` block) closes the idle ones.  An
+    HTTP error status comes back as ``(status, text)``, not as an
+    exception, so that ``_query_one`` decides what to retry.  A request
+    that fails closes its connection and raises; it is never re-sent
+    here.  A connection the server closed while it was idle is replaced
+    before the request is sent.
 
     Proxies come from the environment (``http_proxy``, ``https_proxy``,
-    ``no_proxy``), resolved once per origin; HTTPS verifies against the
-    system CA store.
+    ``no_proxy``); HTTPS verifies against the system CA store.
     """
 
-    def __init__(self) -> None:
-        self._local = threading.local()
+    def __init__(self, url: str) -> None:
+        import base64
+        import http.client
+        import urllib.request
+
+        parts = urllib.parse.urlsplit(url)
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        self._host = parts.netloc
+        self._tunnel: str | None = None  # the origin, for HTTPS through a proxy
+        self._proxy_headers: dict = {}  # for each request through an HTTP proxy, or the CONNECT
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass(parts.netloc):
+            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_parts.username is not None:
+                credentials = ":".join(
+                    urllib.parse.unquote(part or "")
+                    for part in (proxy_parts.username, proxy_parts.password)
+                )
+                self._proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    credentials.encode("utf-8")
+                ).decode("ascii")
+            self._host = proxy_parts.netloc.rpartition("@")[2]
+            if parts.scheme == "https":
+                self._tunnel = parts.netloc
+            else:  # absolute form, for the proxy
+                self._target = f"http://{parts.netloc}{self._target}"
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
         self._lock = threading.Lock()
-        self._opened: list = []
-        self._routes: dict[tuple[str, str], tuple[str | None, dict]] = {}
+        self._idle: list = []
 
     def __enter__(self) -> "_HTTPTransport":
         return self
@@ -184,47 +216,39 @@ class _HTTPTransport:
 
     def close(self) -> None:
         with self._lock:
-            for connection in self._opened:
+            for connection in self._idle:
                 connection.close()
-            self._opened.clear()
-            self._local = threading.local()  # a later request opens a recorded connection
+            self._idle.clear()
 
-    def __call__(self, url: str, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
+    def __call__(self, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
         import select
         import socket
-        import urllib.parse
 
-        parts = urllib.parse.urlsplit(url)
-        proxy, proxy_headers = self._route(parts.scheme, parts.netloc)
-        connections = self._local.__dict__.setdefault("connections", {})
-        connection = connections.get((parts.scheme, parts.netloc))
-        if connection is None:
-            connection = connections[parts.scheme, parts.netloc] = self._open(
-                parts, proxy, proxy_headers
-            )
-        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-            # An idle connection has nothing to read unless the server
-            # closed it; request() below opens a new one.
-            connection.close()
-        connection.timeout = timeout_s
-        if connection.sock is not None:
-            connection.sock.settimeout(timeout_s)
-
-        target = parts.path or "/"
-        if parts.query:
-            target += "?" + parts.query
+        # Encoded first: a body that cannot be sent never takes a connection.
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
         headers = dict(headers)
-        if proxy is not None and parts.scheme == "http":
-            target = f"http://{parts.netloc}{target}"  # absolute form, for the proxy
-            headers.update(proxy_headers)
+        if self._tunnel is None:
+            headers.update(self._proxy_headers)
         names = {name.lower() for name in headers}
         if "content-type" not in names:
             headers["Content-Type"] = "application/json"
         if "user-agent" not in names:
             headers["User-Agent"] = _USER_AGENT
-        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._connection_class(self._host)
+            if self._tunnel is not None:
+                connection.set_tunnel(self._tunnel, headers=self._proxy_headers)
+        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
+            # An idle connection has nothing to read unless the server
+            # closed it; request() below opens a new one.
+            connection.close()
+        connection.timeout = timeout_s
         try:
-            connection.request("POST", target, data, headers)
+            if connection.sock is not None:
+                connection.sock.settimeout(timeout_s)
+            connection.request("POST", self._target, data, headers)
             if hasattr(socket, "TCP_QUICKACK"):
                 # A server that writes the headers and then the body with
                 # Nagle's algorithm on holds the body until the headers are
@@ -237,48 +261,10 @@ class _HTTPTransport:
         except BaseException:
             connection.close()
             raise
+        with self._lock:
+            self._idle.append(connection)
         charset = response.headers.get_content_charset() or "utf-8"
         return response.status, payload.decode(charset, errors="replace")
-
-    def _route(self, scheme: str, netloc: str) -> tuple[str | None, dict]:
-        """The proxy ``host:port`` for an origin (None to go direct) and the headers it needs."""
-        route = self._routes.get((scheme, netloc))
-        if route is None:
-            import base64
-            import urllib.parse
-            import urllib.request
-
-            proxy = urllib.request.getproxies().get(scheme)
-            if not proxy or urllib.request.proxy_bypass(netloc):
-                route = (None, {})
-            else:
-                parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-                proxy_headers = {}
-                if parts.username is not None:
-                    credentials = ":".join(
-                        urllib.parse.unquote(part or "") for part in (parts.username, parts.password)
-                    )
-                    proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
-                        credentials.encode("utf-8")
-                    ).decode("ascii")
-                route = (parts.netloc.rpartition("@")[2], proxy_headers)
-            self._routes[scheme, netloc] = route
-        return route
-
-    def _open(self, parts, proxy: str | None, proxy_headers: dict):
-        import http.client
-
-        if parts.scheme == "https":
-            connection = http.client.HTTPSConnection(proxy or parts.netloc)
-            if proxy is not None:
-                connection.set_tunnel(parts.netloc, headers=proxy_headers)
-        elif parts.scheme == "http":
-            connection = http.client.HTTPConnection(proxy or parts.netloc)
-        else:
-            raise ValueError(f"unknown url type: {parts.scheme!r}")
-        with self._lock:
-            self._opened.append(connection)
-        return connection
 
 
 def extract_text(envelope_text: str, response_path: str) -> str:
@@ -461,7 +447,7 @@ def _query_one(
     while attempts <= endpoint.max_retries:
         attempts += 1
         try:
-            code, text = transport(endpoint.url, headers, body, endpoint.timeout_s)
+            code, text = transport(headers, body, endpoint.timeout_s)
             if code == 200:
                 raw = extract_text(text, endpoint.response_path)
                 break
@@ -548,7 +534,7 @@ def run(
         # exits first, so the transport closes its connections only after
         # every worker has finished, whether the run ends or raises.
         with (
-            contextlib.nullcontext(transport) if transport else _HTTPTransport()
+            contextlib.nullcontext(transport) if transport else _HTTPTransport(endpoint.url)
         ) as send, records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
             max_workers=max(1, parallelism)
         ) as pool:

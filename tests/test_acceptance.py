@@ -315,7 +315,7 @@ def test_11_no_context_knowledge_shortcut(corpus, dataset, tmp_path):
         reply_fn = knowledge_reply(corpus, dataset)
         prompts = list(build_prompts(dataset, no_context=True))
 
-        def transport(url, headers, body, timeout):
+        def transport(headers, body, timeout):
             user = body["messages"][1]["content"]
             reply = reply_fn(body["messages"][0]["content"], user)
             return 200, json.dumps({"choices": [{"message": {"content": reply}}]})

@@ -252,7 +252,7 @@ def test_extract_text_walks_path():
 # Run loop (mock transports; one real HTTP test via MockModelServer)
 
 
-def ok_transport(url, headers, body, timeout):
+def ok_transport(headers, body, timeout):
     user = body["messages"][1]["content"]
     reply = json.dumps({"1": f"echo:{user}"})
     return 200, json.dumps({"choices": [{"message": {"content": reply}}]})
@@ -273,7 +273,7 @@ def test_run_empty_prompts_rejected(tmp_path):
 
 
 def test_empty_reply_recorded(tmp_path):
-    def transport(url, headers, body, timeout):
+    def transport(headers, body, timeout):
         return 200, json.dumps({"choices": [{"message": {"content": ""}}]})
 
     run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=transport)
@@ -282,7 +282,7 @@ def test_empty_reply_recorded(tmp_path):
 
 
 def test_a_too_deeply_nested_reply_is_bad_parsing_not_a_crash(tmp_path):
-    def transport(url, headers, body, timeout):
+    def transport(headers, body, timeout):
         return 200, json.dumps({"choices": [{"message": {"content": "[" * 100_000}}]})
 
     summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=transport)
@@ -294,7 +294,7 @@ def test_a_too_deeply_nested_reply_is_bad_parsing_not_a_crash(tmp_path):
 def test_transport_failure_retries_then_records(tmp_path):
     calls = []
 
-    def flaky(url, headers, body, timeout):
+    def flaky(headers, body, timeout):
         calls.append(1)
         raise ConnectionError("boom")
 
@@ -307,7 +307,7 @@ def test_transport_failure_retries_then_records(tmp_path):
 
 
 def test_http_error_counts_as_transport(tmp_path):
-    def teapot(url, headers, body, timeout):
+    def teapot(headers, body, timeout):
         return 418, "short and stout"
 
     run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=teapot)
@@ -318,7 +318,7 @@ def test_http_error_counts_as_transport(tmp_path):
 def test_client_error_is_not_retried(tmp_path, code):
     calls = []
 
-    def refusing(url, headers, body, timeout):
+    def refusing(headers, body, timeout):
         calls.append(1)
         return code, "no such thing"
 
@@ -334,11 +334,11 @@ def test_client_error_is_not_retried(tmp_path, code):
 def test_timeout_rate_limit_and_server_errors_are_retried(tmp_path, code):
     calls = []
 
-    def busy_once(url, headers, body, timeout):
+    def busy_once(headers, body, timeout):
         calls.append(1)
         if len(calls) == 1:
             return code, "try again"
-        return ok_transport(url, headers, body, timeout)
+        return ok_transport(headers, body, timeout)
 
     summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=busy_once)
     assert summary["ok"] == 1
@@ -352,7 +352,7 @@ def test_missing_credential_leaves_the_run_directory_untouched(tmp_path, monkeyp
     run([make_prompt(0)], ENDPOINT, run_dir, transport=ok_transport)
     before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
 
-    def unreachable(url, headers, body, timeout):
+    def unreachable(headers, body, timeout):
         raise AssertionError("no request may be sent without the credential")
 
     prompts = [make_prompt(i) for i in range(3)]
@@ -367,11 +367,11 @@ def test_missing_credential_leaves_the_run_directory_untouched(tmp_path, monkeyp
 def test_recovery_after_transient_failures(tmp_path):
     attempts = {"n": 0}
 
-    def eventually(url, headers, body, timeout):
+    def eventually(headers, body, timeout):
         attempts["n"] += 1
         if attempts["n"] < 3:
             raise ConnectionError("not yet")
-        return ok_transport(url, headers, body, timeout)
+        return ok_transport(headers, body, timeout)
 
     summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=eventually)
     assert summary["ok"] == 1
@@ -395,9 +395,9 @@ def test_resume_skips_final_records_and_completes(tmp_path):
 
     seen = []
 
-    def tracking(url, headers, body, timeout):
+    def tracking(headers, body, timeout):
         seen.append(body["messages"][1]["content"])
-        return ok_transport(url, headers, body, timeout)
+        return ok_transport(headers, body, timeout)
 
     summary = run(prompts, ENDPOINT, interrupted, transport=tracking)
     assert summary["skipped"] == 3
@@ -469,7 +469,7 @@ def test_bad_records_line_fails_before_the_run_directory_is_written(tmp_path):
     (run_dir / "records.jsonl").write_text("{garbage\n", encoding="utf-8")
     before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
 
-    def unreachable(url, headers, body, timeout):
+    def unreachable(headers, body, timeout):
         raise AssertionError("no request may be sent for a run with bad records")
 
     with pytest.raises(ValueError, match=r"records\.jsonl: line 1: "):
@@ -490,11 +490,11 @@ def test_exactly_once_with_fault_injection(tmp_path):
     prompts = [make_prompt(i) for i in range(6)]
     fail_on = {"question 2", "question 4"}
 
-    def faulty(url, headers, body, timeout):
+    def faulty(headers, body, timeout):
         user = body["messages"][1]["content"]
         if user in fail_on:
             raise ConnectionError("injected")
-        return ok_transport(url, headers, body, timeout)
+        return ok_transport(headers, body, timeout)
 
     run(prompts, ENDPOINT, tmp_path / "r", parallelism=2, transport=faulty)
     first = read_records(tmp_path / "r")
@@ -531,7 +531,7 @@ def test_parallelism_is_bounded(tmp_path):
     in_flight = {"now": 0, "max": 0}
     gate = threading.Lock()
 
-    def slow(url, headers, body, timeout):
+    def slow(headers, body, timeout):
         with gate:
             in_flight["now"] += 1
             in_flight["max"] = max(in_flight["max"], in_flight["now"])
@@ -540,7 +540,7 @@ def test_parallelism_is_bounded(tmp_path):
         _t.sleep(0.02)
         with gate:
             in_flight["now"] -= 1
-        return ok_transport(url, headers, body, timeout)
+        return ok_transport(headers, body, timeout)
 
     run([make_prompt(i) for i in range(12)], ENDPOINT, tmp_path / "r", parallelism=3, transport=slow)
     assert in_flight["max"] <= 3
@@ -575,9 +575,10 @@ def test_http_transport_sends_non_ascii_intact(tmp_path):
 
 
 def test_http_transport_sends_json_bytes_with_a_json_content_type():
-    with MockModelServer(lambda system, user: "") as server, _HTTPTransport() as transport:
-        for headers in ({}, {"content-type": "text/plain"}):
-            transport(server.url, headers, {"a": "é"}, 5.0)
+    with MockModelServer(lambda system, user: "") as server:
+        with _HTTPTransport(server.url) as transport:
+            for headers in ({}, {"content-type": "text/plain"}):
+                transport(headers, {"a": "é"}, 5.0)
     assert [h["Content-Type"] for _, h, _ in server.requests] == ["application/json", "text/plain"]
     assert server.requests[0][2] == b'{"a": "\\u00e9"}'
 
@@ -585,9 +586,27 @@ def test_http_transport_sends_json_bytes_with_a_json_content_type():
 @pytest.mark.parametrize("code", [500, 429])
 def test_http_transport_returns_an_error_status(code):
     with MockModelServer(lambda system, user: (code, "planted fault")) as server:
-        with _HTTPTransport() as transport:
-            got = transport(server.url, {}, {"messages": []}, 5.0)
+        with _HTTPTransport(server.url) as transport:
+            got = transport({}, {"messages": []}, 5.0)
     assert got == (code, "planted fault")
+
+
+def test_a_body_that_is_not_json_takes_no_connection():
+    with MockModelServer(lambda system, user: "") as server:
+        with _HTTPTransport(server.url) as transport:
+            with pytest.raises(ValueError):
+                transport({}, {"temperature": float("nan")}, 5.0)
+    assert (server.connections, server.requests) == (0, [])
+
+
+def test_a_connection_is_reused_by_whichever_thread_sends_next():
+    with MockModelServer(lambda system, user: "") as server:
+        with _HTTPTransport(server.url) as transport:
+            for _ in range(3):
+                sender = threading.Thread(target=transport, args=({}, {"messages": []}, 5.0))
+                sender.start()
+                sender.join()
+    assert (len(server.requests), server.connections) == (3, 1)
 
 
 def pong(system, user):
@@ -608,8 +627,8 @@ def test_run_closes_every_connection_it_opened(tmp_path, monkeypatch, fails):
     made = []
 
     class Kept(runner._HTTPTransport):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, url):
+            super().__init__(url)
             made.append(self)  # kept alive, so no garbage collection closes a connection
 
     monkeypatch.setattr(runner, "_HTTPTransport", Kept)
@@ -671,12 +690,12 @@ def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
                 conn.sendall(reply)
             hung_up.set()
 
-    def after_the_server_hangs_up(url, headers, body, timeout):
+    def after_the_server_hangs_up(headers, body, timeout):
         hung_up.wait(5)
         hung_up.clear()
-        return transport(url, headers, body, timeout)
+        return transport(headers, body, timeout)
 
-    with socket.create_server(("127.0.0.1", 0)) as listener, _HTTPTransport() as transport:
+    with socket.create_server(("127.0.0.1", 0)) as listener:
         server = threading.Thread(target=serve, args=(listener,), daemon=True)
         server.start()
         port = listener.getsockname()[1]
@@ -684,7 +703,9 @@ def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
             name="drops", url=f"http://127.0.0.1:{port}/v1", retry_base_s=0.0, max_retries=2
         )
         prompts = [make_prompt(i) for i in range(3)]
-        run(prompts, endpoint, tmp_path / "run", parallelism=1, transport=after_the_server_hangs_up)
+        with _HTTPTransport(endpoint.url) as transport:
+            run(prompts, endpoint, tmp_path / "run", parallelism=1,
+                transport=after_the_server_hangs_up)
         server.join(timeout=5)
     assert not server.is_alive()
     records = read_records(tmp_path / "run").values()
@@ -785,7 +806,7 @@ def test_summarize_errors_counts(tmp_path):
         "question 3": "probably a dog",
     }
 
-    def transport(url, headers, body, timeout):
+    def transport(headers, body, timeout):
         user = body["messages"][1]["content"]
         return 200, json.dumps({"choices": [{"message": {"content": replies[user]}}]})
 
