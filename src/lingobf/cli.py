@@ -266,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", required=True)
     p.add_argument("--endpoint", required=True, help="endpoint config JSON")
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--parallelism", type=int, default=4)
+    p.add_argument(
+        "--parallelism", type=int, default=4, help="requests in flight at once (at least 1)"
+    )
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("score", help="exact-match score a run against its dataset")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import threading
@@ -85,11 +86,34 @@ class EndpointConfig:
         """The config in the JSON file ``path``.
 
         Each field must have the JSON type its annotation above states (an
-        integer is also a number; a boolean is neither), and ``timeout_s``,
-        ``max_retries`` and ``retry_base_s`` must not be negative; else
-        ``ValueError`` names the file and the field.
+        integer is also a number; a boolean is neither) and meet the rules
+        of ``__post_init__``; else ``ValueError`` names the file and the
+        field.
         """
         return jsonio.read_json(path, cls._from_dict)
+
+    def __post_init__(self) -> None:
+        """Refuse a config that ``run`` cannot use.
+
+        ``url`` must be an ``http://`` or ``https://`` URL with a host;
+        ``temperature``, ``timeout_s`` and ``retry_base_s`` must not be NaN
+        or infinite (Python's JSON reader accepts those literals); and
+        ``timeout_s``, ``max_retries`` and ``retry_base_s`` must not be
+        negative.
+        """
+        parts = urllib.parse.urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(
+                f"url is {jsonio.dumps(self.url)}, not an http:// or https:// URL with a host"
+            )
+        for name in ("temperature", "timeout_s", "retry_base_s"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is {jsonio.dumps(value)}, not a finite number")
+        for name in ("timeout_s", "max_retries", "retry_base_s"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} is {jsonio.dumps(value)}, which is negative")
 
     @classmethod
     def _from_dict(cls, d: dict) -> "EndpointConfig":
@@ -101,8 +125,6 @@ class EndpointConfig:
             if type(value) not in kinds and not (type(value) is int and float in kinds):
                 expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
                 raise ValueError(f"{name} is {jsonio.dumps(value)}, not {expected}")
-            if name in ("timeout_s", "max_retries", "retry_base_s") and value < 0:
-                raise ValueError(f"{name} is {jsonio.dumps(value)}, which is negative")
         return cls(**d)
 
     def default_body(self) -> dict:
@@ -491,13 +513,17 @@ def run(
     Exactly one final record per prompt_id lands in records.jsonl; reruns
     skip prompt_ids that already have one.  Transport failures after the
     retry budget, and a 4xx reply other than 408 or 429 at once, become
-    ``transport_error`` records, never exceptions.  A missing credential
-    raises before the run directory is touched.  Without ``transport``,
-    requests go over an ``_HTTPTransport`` whose connections are all closed
-    when the run ends.
+    ``transport_error`` records, never exceptions.  A missing credential,
+    or a ``parallelism`` below 1, raises before the run directory is
+    touched.  Without ``transport``, requests go to ``endpoint.url`` over
+    one ``_HTTPTransport``: a pool that holds at most one connection per
+    request in flight, reuses each for whichever worker sends next, and
+    closes them all when the run ends.
     """
     if not prompts:
         raise ValueError("no prompts to run")
+    if parallelism < 1:
+        raise ValueError(f"parallelism is {parallelism}, not at least 1")
     _api_key(endpoint)  # fail before the run directory is touched
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -536,7 +562,7 @@ def run(
         with (
             contextlib.nullcontext(transport) if transport else _HTTPTransport(endpoint.url)
         ) as send, records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
-            max_workers=max(1, parallelism)
+            max_workers=parallelism
         ) as pool:
             statuses = list(pool.map(worker, pending))
 

@@ -31,7 +31,6 @@ from .rng import SplitMix64, absorb, derive_seed, rejection_limits
 @dataclass(frozen=True)
 class BootstrapResult:
     set_scores: tuple[float, ...]
-    seed: int
     sets: int
 
     @property
@@ -54,7 +53,7 @@ def bootstrap(tensor: ScoreTensor, sets: int = 500, seed: int = 0) -> BootstrapR
         picks = SplitMix64(absorb(prefix, s)).below_each(limits)
         per_problem = [means[i] for means, i in zip(variant_means, picks)]
         scores.append(sum(per_problem) / len(per_problem))
-    return BootstrapResult(set_scores=tuple(scores), seed=seed, sets=sets)
+    return BootstrapResult(set_scores=tuple(scores), sets=sets)
 
 
 def histogram_csv(result: BootstrapResult, bins: int = 20) -> str:
@@ -89,10 +88,9 @@ class RegressionResult:
     stderr: float
     t_stat: float
     n: int
-    label: str = ""
 
 
-def ols_fit(x: Sequence[float], y: Sequence[float], *, label: str = "") -> RegressionResult:
+def ols_fit(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Closed-form simple OLS with classical standard errors.
 
     slope = Sxy / Sxx, intercept = ybar - slope * xbar,
@@ -132,7 +130,6 @@ def ols_fit(x: Sequence[float], y: Sequence[float], *, label: str = "") -> Regre
         stderr=stderr,
         t_stat=t_stat,
         n=n,
-        label=label,
     )
 
 
@@ -154,7 +151,7 @@ def fit_groups(
     for label in sorted(grouped):
         xs, ys = grouped[label]
         try:
-            fits[label] = ols_fit(xs, ys, label=label)
+            fits[label] = ols_fit(xs, ys)
         except DegenerateDataError as exc:
             skipped[label] = str(exc)
     return fits, skipped

@@ -575,6 +575,40 @@ def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "fields, flags, detail",
+    [
+        ('"url": "ftp://127.0.0.1:9/v1"', (),
+         '{cfg}: url is "ftp://127.0.0.1:9/v1", not an http:// or https:// URL with a host'),
+        ('"url": "http:///v1"', (),
+         '{cfg}: url is "http:///v1", not an http:// or https:// URL with a host'),
+        ('"url": "http://127.0.0.1:9", "timeout_s": NaN', (),
+         "{cfg}: timeout_s is NaN, not a finite number"),
+        ('"url": "http://127.0.0.1:9", "retry_base_s": Infinity', (),
+         "{cfg}: retry_base_s is Infinity, not a finite number"),
+        ('"url": "http://127.0.0.1:9", "temperature": NaN', (),
+         "{cfg}: temperature is NaN, not a finite number"),
+        ('"url": "http://127.0.0.1:9"', ("--parallelism", "0"),
+         "parallelism is 0, not at least 1"),
+    ],
+    ids=["ftp-url", "no-host", "nan-timeout", "infinite-retry-base", "nan-temperature",
+         "parallelism-0"],
+)
+def test_a_run_that_cannot_be_made_is_refused_before_the_run_directory(
+    capsys, tmp_path, corpus_dir, fields, flags, detail
+):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    run_cli(capsys, "prompt", str(ds), "--out", str(tmp_path / "p.jsonl"))
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text('{"name": "x", ' + fields + "}")
+    argv = ("run", "--prompts", str(tmp_path / "p.jsonl"), "--endpoint", str(cfg), *flags)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": detail.format(cfg=cfg)}
+    assert not (tmp_path / "run").exists()
+
+
 def _scores_text(problems: dict[str, tuple[str, int, list[int]]]) -> str:
     """A score tensor: per problem its level, speakers and p = 0..2 scores of two sub-questions."""
     return json.dumps({"problems": [

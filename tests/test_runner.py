@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
+import math
 import os
 import re
 import socket
@@ -222,6 +223,31 @@ def test_a_mistyped_or_negative_endpoint_field_names_the_file(tmp_path, field, v
     with pytest.raises(ValueError) as exc:
         EndpointConfig.from_file(path)
     assert str(exc.value) == f"{path}: {detail}"
+
+
+NOT_AN_HTTP_URL = "not an http:// or https:// URL with a host"
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("url", "ftp://x/v1", f'url is "ftp://x/v1", {NOT_AN_HTTP_URL}'),
+        ("url", "https://:443/v1", f'url is "https://:443/v1", {NOT_AN_HTTP_URL}'),
+        ("url", "x/v1", f'url is "x/v1", {NOT_AN_HTTP_URL}'),
+        ("timeout_s", math.nan, "timeout_s is NaN, not a finite number"),
+        ("timeout_s", -math.inf, "timeout_s is -Infinity, not a finite number"),
+        ("retry_base_s", math.inf, "retry_base_s is Infinity, not a finite number"),
+        ("temperature", math.nan, "temperature is NaN, not a finite number"),
+    ],
+)
+def test_an_endpoint_run_cannot_use_is_refused_naming_the_file(tmp_path, field, value, detail):
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps({"name": "e", "url": "http://x", field: value}))
+    with pytest.raises(ValueError) as exc:
+        EndpointConfig.from_file(path)
+    assert str(exc.value) == f"{path}: {detail}"
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        EndpointConfig(**{"name": "e", "url": "http://x", field: value})
 
 
 def test_missing_credential_is_an_error(monkeypatch):
