@@ -622,7 +622,13 @@ def test_a_body_that_is_not_json_takes_no_connection():
         with _HTTPTransport(server.url) as transport:
             with pytest.raises(ValueError):
                 transport({}, {"temperature": float("nan")}, 5.0)
-    assert (server.connections, server.requests) == (0, [])
+            assert (server.connections, server.requests) == (0, [])
+            # Nor does it take the idle connection out of the pool.
+            transport({}, {"messages": []}, 5.0)
+            with pytest.raises(ValueError):
+                transport({}, {"temperature": float("nan")}, 5.0)
+            transport({}, {"messages": []}, 5.0)
+    assert (server.connections, len(server.requests)) == (1, 2)
 
 
 def test_a_connection_is_reused_by_whichever_thread_sends_next():
