@@ -54,7 +54,7 @@ def main() -> int:
     _cli("generate", corpus_dir, "--out", dataset, "--per-problem", args.per_problem,
          "--seed", args.seed)
     _cli("prompt", dataset, "--out", prompts)
-    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(dataset)[0])
+    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(dataset))
     with MockModelServer(reply) as server:
         config = {"name": "knowledge-lookup", "url": server.url, "retry_base_s": 0.0}
         endpoint.write_text(json.dumps(config), encoding="utf-8")

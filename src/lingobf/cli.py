@@ -95,7 +95,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_prompt(args) -> int:
-    records, _manifest = corpus.load_dataset(args.dataset)
+    records = corpus.load_dataset(args.dataset)
     guidance = Path(args.guidance).read_text(encoding="utf-8").strip() if args.guidance else None
     built = prompts.build_prompts(
         records,
@@ -119,7 +119,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    records, _manifest = corpus.load_dataset(args.dataset)
+    records = corpus.load_dataset(args.dataset)
     responses = runner.read_records(args.run)
     tensor, missing = metrics.score_run(responses, records, case_sensitive=args.case_aware)
     jsonio.write_json(args.out, tensor.to_dict())

@@ -550,7 +550,6 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     return manifest
 
 
-def load_dataset(path: str | Path) -> tuple[list[DatasetRecord], dict]:
-    path = Path(path)
-    manifest = jsonio.read_json(path / "manifest.json", dict)
-    return jsonio.read_lines(path / "records.jsonl", DatasetRecord.from_dict), manifest
+def load_dataset(path: str | Path) -> list[DatasetRecord]:
+    """The records of the dataset directory ``path``; its ``manifest.json`` is not read."""
+    return jsonio.read_lines(Path(path) / "records.jsonl", DatasetRecord.from_dict)

@@ -40,8 +40,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import __version__, jsonio
+from . import jsonio
 from .prompts import PromptInstance
+from .transport import HTTPTransport
 
 STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
@@ -55,7 +56,9 @@ _JSON_TYPE_NAMES = {
 # transport(headers, body, timeout_s) -> (status_code, response_text)
 Transport = Callable[[dict, dict, float], tuple[int, str]]
 
-_USER_AGENT = f"lingobf/{__version__}"
+# What http.client refuses in a request target: a space, a control
+# character, or (since the request line is ASCII) anything past ASCII.
+_NOT_IN_A_TARGET = re.compile(r"[^!-~]")
 
 
 @dataclass(frozen=True)
@@ -99,12 +102,20 @@ class EndpointConfig:
         ``temperature``, ``timeout_s`` and ``retry_base_s`` must not be NaN
         or infinite (Python's JSON reader accepts those literals); and
         ``timeout_s``, ``max_retries`` and ``retry_base_s`` must not be
-        negative.
+        negative; the URL's path and query must be printable ASCII without
+        spaces, as a request line needs them; and the longest wait between
+        attempts, ``retry_base_s * 2**(max_retries - 1)`` seconds, must not
+        be over ``threading.TIMEOUT_MAX``, past which ``time.sleep`` fails.
         """
         parts = urllib.parse.urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError(
                 f"url is {jsonio.dumps(self.url)}, not an http:// or https:// URL with a host"
+            )
+        if _NOT_IN_A_TARGET.search(parts.path + parts.query):
+            raise ValueError(
+                f"url is {jsonio.dumps(self.url)}, whose path or query has a space, "
+                "a control character or a non-ASCII character"
             )
         for name in ("temperature", "timeout_s", "retry_base_s"):
             value = getattr(self, name)
@@ -114,6 +125,20 @@ class EndpointConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} is {jsonio.dumps(value)}, which is negative")
+        if self.max_retries and self.retry_wait_s(self.max_retries) > threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"retry_base_s is {jsonio.dumps(self.retry_base_s)}: with max_retries "
+                f"{self.max_retries}, the longest wait between attempts, retry_base_s * "
+                f"2**(max_retries - 1) s, is over threading.TIMEOUT_MAX "
+                f"({threading.TIMEOUT_MAX:.0f} s)"
+            )
+
+    def retry_wait_s(self, attempt: int) -> float:
+        """Seconds to wait after failed attempt ``attempt`` (from 1); ``inf`` past any float."""
+        try:
+            return math.ldexp(self.retry_base_s, attempt - 1)
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def _from_dict(cls, d: dict) -> "EndpointConfig":
@@ -176,117 +201,6 @@ def build_request(endpoint: EndpointConfig, prompt: PromptInstance) -> tuple[dic
     headers = _fill(endpoint.headers, values)
     body = _fill(endpoint.body or endpoint.default_body(), values)
     return headers, body
-
-
-class _HTTPTransport:
-    """POST ``body`` as UTF-8 JSON to ``url`` over a pool of kept-alive connections.
-
-    A :data:`Transport` for one endpoint: the request target, the proxy
-    and its credentials are worked out once, here.  A request takes an
-    idle connection (or opens one) and puts it back when it ends, so no
-    more connections are open than requests were ever in flight at once;
-    ``close`` (or leaving its ``with`` block) closes the idle ones.  An
-    HTTP error status comes back as ``(status, text)``, not as an
-    exception, so that ``_query_one`` decides what to retry.  A request
-    that fails closes its connection and raises; it is never re-sent
-    here.  A connection the server closed while it was idle is replaced
-    before the request is sent.
-
-    Proxies come from the environment (``http_proxy``, ``https_proxy``,
-    ``no_proxy``); HTTPS verifies against the system CA store.
-    """
-
-    def __init__(self, url: str) -> None:
-        import base64
-        import http.client
-        import urllib.request
-
-        parts = urllib.parse.urlsplit(url)
-        self._target = parts.path or "/"
-        if parts.query:
-            self._target += "?" + parts.query
-        self._host = parts.netloc
-        self._tunnel: str | None = None  # the origin, for HTTPS through a proxy
-        self._proxy_headers: dict = {}  # for each request through an HTTP proxy, or the CONNECT
-        proxy = urllib.request.getproxies().get(parts.scheme)
-        if proxy and not urllib.request.proxy_bypass(parts.netloc):
-            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if proxy_parts.username is not None:
-                credentials = ":".join(
-                    urllib.parse.unquote(part or "")
-                    for part in (proxy_parts.username, proxy_parts.password)
-                )
-                self._proxy_headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
-                    credentials.encode("utf-8")
-                ).decode("ascii")
-            self._host = proxy_parts.netloc.rpartition("@")[2]
-            if parts.scheme == "https":
-                self._tunnel = parts.netloc
-            else:  # absolute form, for the proxy
-                self._target = f"http://{parts.netloc}{self._target}"
-        self._connection_class = (
-            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-        )
-        self._lock = threading.Lock()
-        self._idle: list = []
-
-    def __enter__(self) -> "_HTTPTransport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        with self._lock:
-            for connection in self._idle:
-                connection.close()
-            self._idle.clear()
-
-    def __call__(self, headers: dict, body: dict, timeout_s: float) -> tuple[int, str]:
-        import select
-        import socket
-
-        # Encoded first: a body that cannot be sent never takes a connection.
-        data = json.dumps(body, allow_nan=False).encode("utf-8")
-        headers = dict(headers)
-        if self._tunnel is None:
-            headers.update(self._proxy_headers)
-        names = {name.lower() for name in headers}
-        if "content-type" not in names:
-            headers["Content-Type"] = "application/json"
-        if "user-agent" not in names:
-            headers["User-Agent"] = _USER_AGENT
-        with self._lock:
-            connection = self._idle.pop() if self._idle else None
-        if connection is None:
-            connection = self._connection_class(self._host)
-            if self._tunnel is not None:
-                connection.set_tunnel(self._tunnel, headers=self._proxy_headers)
-        elif connection.sock is not None and select.select([connection.sock], [], [], 0)[0]:
-            # An idle connection has nothing to read unless the server
-            # closed it; request() below opens a new one.
-            connection.close()
-        connection.timeout = timeout_s
-        try:
-            if connection.sock is not None:
-                connection.sock.settimeout(timeout_s)
-            connection.request("POST", self._target, data, headers)
-            if hasattr(socket, "TCP_QUICKACK"):
-                # A server that writes the headers and then the body with
-                # Nagle's algorithm on holds the body until the headers are
-                # acknowledged, and on a reused connection the kernel would
-                # delay that acknowledgement by up to 40 ms.  Linux resets
-                # the option by itself, so it is set for every reply.
-                connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
-            response = connection.getresponse()
-            payload = response.read()
-        except BaseException:
-            connection.close()
-            raise
-        with self._lock:
-            self._idle.append(connection)
-        charset = response.headers.get_content_charset() or "utf-8"
-        return response.status, payload.decode(charset, errors="replace")
 
 
 def extract_text(envelope_text: str, response_path: str) -> str:
@@ -479,7 +393,7 @@ def _query_one(
         except Exception as exc:  # noqa: BLE001 - transport failures are data
             failure = str(exc)
         if attempts <= endpoint.max_retries:
-            time.sleep(endpoint.retry_base_s * (2 ** (attempts - 1)))
+            time.sleep(endpoint.retry_wait_s(attempts))
     latency_ms = (time.perf_counter() - started) * 1000.0
 
     if raw is None:
@@ -516,7 +430,7 @@ def run(
     ``transport_error`` records, never exceptions.  A missing credential,
     or a ``parallelism`` below 1, raises before the run directory is
     touched.  Without ``transport``, requests go to ``endpoint.url`` over
-    one ``_HTTPTransport``: a pool that holds at most one connection per
+    one :class:`HTTPTransport`: a pool that holds at most one connection per
     request in flight, reuses each for whichever worker sends next, and
     closes them all when the run ends.
     """
@@ -560,7 +474,7 @@ def run(
         # exits first, so the transport closes its connections only after
         # every worker has finished, whether the run ends or raises.
         with (
-            contextlib.nullcontext(transport) if transport else _HTTPTransport(endpoint.url)
+            contextlib.nullcontext(transport) if transport else HTTPTransport(endpoint.url)
         ) as send, records_path.open("a", encoding="utf-8") as records_file, ThreadPoolExecutor(
             max_workers=parallelism
         ) as pool:

@@ -207,7 +207,7 @@ def _golden_pipeline(corpus_dir: Path, work: Path) -> dict:
     ) == 0
     assert cli_main(["prompt", str(dataset_dir), "--out", str(prompts_path)]) == 0
 
-    records, _ = load_dataset(dataset_dir)
+    records = load_dataset(dataset_dir)
     gold_by_prompt = {
         f"{r.variant_id}:q{r.question_index}": dict(r.answers) for r in records
     }

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import shutil
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -211,7 +212,7 @@ def test_fixture_chain_digests_are_pinned(capsys, corpus_dir, tmp_path):
     )
     run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
     run_cli(capsys, "prompt", str(ds), "--out", str(prompts))
-    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(ds)[0])
+    reply = knowledge_reply(load_corpus(corpus_dir)[0], load_dataset(ds))
     with MockModelServer(reply) as server:
         endpoint = tmp_path / "endpoint.json"
         endpoint.write_text(json.dumps({"name": "kb", "url": server.url, "retry_base_s": 0.0}))
@@ -332,7 +333,7 @@ def test_prompt_and_score_name_a_malformed_record_line(
         }
 
 
-def test_prompt_and_score_name_a_malformed_dataset_manifest(capsys, corpus_dir, tmp_path):
+def test_prompt_and_score_do_not_read_the_dataset_manifest(capsys, corpus_dir, tmp_path):
     ds = tmp_path / "dataset"
     run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
     (ds / "manifest.json").write_text("{oops", encoding="utf-8")
@@ -341,9 +342,8 @@ def test_prompt_and_score_name_a_malformed_dataset_manifest(capsys, corpus_dir, 
         ("prompt", str(ds), "--out", str(tmp_path / "prompts.jsonl")),
         ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s")),
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1 and out == ""
-        assert json.loads(err)["detail"].startswith(f"{ds / 'manifest.json'}: Expecting ")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0 and "manifest" not in err
 
 
 @pytest.mark.parametrize(
@@ -588,11 +588,15 @@ def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
          "{cfg}: retry_base_s is Infinity, not a finite number"),
         ('"url": "http://127.0.0.1:9", "temperature": NaN', (),
          "{cfg}: temperature is NaN, not a finite number"),
+        ('"url": "http://127.0.0.1:9", "retry_base_s": 1e300, "max_retries": 1', (),
+         "{cfg}: retry_base_s is 1e+300: with max_retries 1, the longest wait between attempts, "
+         "retry_base_s * 2**(max_retries - 1) s, is over threading.TIMEOUT_MAX "
+         f"({threading.TIMEOUT_MAX:.0f} s)"),
         ('"url": "http://127.0.0.1:9"', ("--parallelism", "0"),
          "parallelism is 0, not at least 1"),
     ],
     ids=["ftp-url", "no-host", "nan-timeout", "infinite-retry-base", "nan-temperature",
-         "parallelism-0"],
+         "retry-wait-overflow", "parallelism-0"],
 )
 def test_a_run_that_cannot_be_made_is_refused_before_the_run_directory(
     capsys, tmp_path, corpus_dir, fields, flags, detail
@@ -700,7 +704,7 @@ def test_an_os_error_is_a_diagnostic_naming_the_path(capsys, corpus_dir, tmp_pat
         (("report", "--scores", str(taken), "--out", str(tmp_path / "report")),
          "IsADirectoryError", taken),
         (("prompt", str(problem), "--out", str(tmp_path / "p.jsonl")),
-         "NotADirectoryError", problem / "manifest.json"),
+         "NotADirectoryError", problem / "records.jsonl"),
         (("prompt", str(ds), "--out", str(taken)), "IsADirectoryError", taken),
     ):
         code, out, err = run_cli(capsys, *argv)

@@ -6,6 +6,7 @@ import shutil
 
 import pytest
 
+from lingobf import jsonio
 from lingobf.annotations import MARKERS
 from lingobf.cli import main
 from lingobf.corpus import (
@@ -350,9 +351,8 @@ def test_identity_variant_matches_unobfuscated_render(dataset):
 
 def test_dataset_round_trip(tmp_path, corpus, dataset):
     manifest = write_dataset(dataset, tmp_path / "ds")
-    loaded, manifest_again = load_dataset(tmp_path / "ds")
-    assert loaded == list(dataset)
-    assert manifest_again == manifest
+    assert load_dataset(tmp_path / "ds") == list(dataset)
+    assert jsonio.read_json(tmp_path / "ds" / "manifest.json", dict) == manifest
     assert manifest["pairs"] == 48
     assert set(manifest["digests"]) == {r.variant_id for r in dataset}
 
@@ -383,7 +383,7 @@ def test_load_dataset_keeps_unicode_line_separators(tmp_path, dataset):
     key = first.expected_keys[0]
     first = dataclasses.replace(first, answers={**first.answers, key: "a\u2028b\u0085c"})
     write_dataset(dataclasses.replace(dataset, records=(first, *dataset.records[1:])), tmp_path)
-    loaded, _ = load_dataset(tmp_path)
+    loaded = load_dataset(tmp_path)
     assert len(loaded) == len(dataset)
     assert loaded[0].answers[key] == "a\u2028b\u0085c"
 
@@ -461,7 +461,7 @@ def test_group_variants_refuses_a_variant_unlike_p0(dataset, edit, error):
 
 def test_manifest_maps_rederive_variants(tmp_path, corpus, dataset):
     write_dataset(dataset, tmp_path / "ds")
-    _, manifest = load_dataset(tmp_path / "ds")
+    manifest = jsonio.read_json(tmp_path / "ds" / "manifest.json", dict)
     problems = {p.id: p for p in corpus.problems}
     for variant_id, info in manifest["maps"].items():
         problem_id, _, p_tag = variant_id.partition(":")

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import dataclasses
+import http.client
+import io
 import json
 import math
 import os
@@ -30,7 +33,6 @@ from lingobf.runner import (
     _LADDER,
     EndpointConfig,
     ResponseRecord,
-    _HTTPTransport,
     _key_pairs,
     build_request,
     error_summary_table,
@@ -40,6 +42,7 @@ from lingobf.runner import (
     run,
     summarize_errors,
 )
+from lingobf.transport import HTTPTransport, read_reply
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -226,6 +229,7 @@ def test_a_mistyped_or_negative_endpoint_field_names_the_file(tmp_path, field, v
 
 
 NOT_AN_HTTP_URL = "not an http:// or https:// URL with a host"
+NOT_A_TARGET = "whose path or query has a space, a control character or a non-ASCII character"
 
 
 @pytest.mark.parametrize(
@@ -234,6 +238,8 @@ NOT_AN_HTTP_URL = "not an http:// or https:// URL with a host"
         ("url", "ftp://x/v1", f'url is "ftp://x/v1", {NOT_AN_HTTP_URL}'),
         ("url", "https://:443/v1", f'url is "https://:443/v1", {NOT_AN_HTTP_URL}'),
         ("url", "x/v1", f'url is "x/v1", {NOT_AN_HTTP_URL}'),
+        ("url", "http://x/a b", f'url is "http://x/a b", {NOT_A_TARGET}'),
+        ("url", "http://x/v1?q=é", f'url is "http://x/v1?q=é", {NOT_A_TARGET}'),
         ("timeout_s", math.nan, "timeout_s is NaN, not a finite number"),
         ("timeout_s", -math.inf, "timeout_s is -Infinity, not a finite number"),
         ("retry_base_s", math.inf, "retry_base_s is Infinity, not a finite number"),
@@ -248,6 +254,37 @@ def test_an_endpoint_run_cannot_use_is_refused_naming_the_file(tmp_path, field, 
     assert str(exc.value) == f"{path}: {detail}"
     with pytest.raises(ValueError, match=re.escape(detail)):
         EndpointConfig(**{"name": "e", "url": "http://x", field: value})
+
+
+@pytest.mark.parametrize(
+    "retry_base_s, max_retries, refused",
+    [
+        (1e300, 1, True),
+        (threading.TIMEOUT_MAX, 1, False),
+        (threading.TIMEOUT_MAX / 2, 2, False),
+        (threading.TIMEOUT_MAX, 2, True),
+        (0, 1025, False),  # 0.0 * 2**1024 overflows
+        (1e300, 0, False),  # never waits
+    ],
+)
+def test_a_retry_wait_past_timeout_max_is_refused_naming_the_file(
+    tmp_path, retry_base_s, max_retries, refused
+):
+    fields = {
+        "name": "e", "url": "http://x", "retry_base_s": retry_base_s, "max_retries": max_retries
+    }
+    path = tmp_path / "endpoint.json"
+    path.write_text(json.dumps(fields))
+    if not refused:
+        assert EndpointConfig.from_file(path) == EndpointConfig(**fields)
+        return
+    with pytest.raises(ValueError) as exc:
+        EndpointConfig.from_file(path)
+    assert str(exc.value) == (
+        f"{path}: retry_base_s is {json.dumps(retry_base_s)}: with max_retries {max_retries}, "
+        "the longest wait between attempts, retry_base_s * 2**(max_retries - 1) s, is over "
+        f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX:.0f} s)"
+    )
 
 
 def test_missing_credential_is_an_error(monkeypatch):
@@ -317,19 +354,23 @@ def test_a_too_deeply_nested_reply_is_bad_parsing_not_a_crash(tmp_path):
     assert [json.loads(line)["status"] for line in lines] == [STATUS_BAD_PARSING]
 
 
-def test_transport_failure_retries_then_records(tmp_path):
+def test_transport_failure_retries_then_records(tmp_path, monkeypatch):
     calls = []
+    waits = []
 
     def flaky(headers, body, timeout):
         calls.append(1)
         raise ConnectionError("boom")
 
-    summary = run([make_prompt(0)], ENDPOINT, tmp_path / "run", transport=flaky)
+    monkeypatch.setattr(runner.time, "sleep", waits.append)
+    endpoint = dataclasses.replace(ENDPOINT, retry_base_s=0.25)
+    summary = run([make_prompt(0)], endpoint, tmp_path / "run", transport=flaky)
     assert summary["transport_error"] == 1
     record = read_records(tmp_path / "run")["x:p0:q0"]
     assert record.status == STATUS_TRANSPORT_ERROR
     assert record.attempts == 3  # initial + max_retries
     assert len(calls) == 3
+    assert waits == [0.25, 0.5]
 
 
 def test_http_error_counts_as_transport(tmp_path):
@@ -602,7 +643,7 @@ def test_http_transport_sends_non_ascii_intact(tmp_path):
 
 def test_http_transport_sends_json_bytes_with_a_json_content_type():
     with MockModelServer(lambda system, user: "") as server:
-        with _HTTPTransport(server.url) as transport:
+        with HTTPTransport(server.url) as transport:
             for headers in ({}, {"content-type": "text/plain"}):
                 transport(headers, {"a": "é"}, 5.0)
     assert [h["Content-Type"] for _, h, _ in server.requests] == ["application/json", "text/plain"]
@@ -612,14 +653,14 @@ def test_http_transport_sends_json_bytes_with_a_json_content_type():
 @pytest.mark.parametrize("code", [500, 429])
 def test_http_transport_returns_an_error_status(code):
     with MockModelServer(lambda system, user: (code, "planted fault")) as server:
-        with _HTTPTransport(server.url) as transport:
+        with HTTPTransport(server.url) as transport:
             got = transport({}, {"messages": []}, 5.0)
     assert got == (code, "planted fault")
 
 
 def test_a_body_that_is_not_json_takes_no_connection():
     with MockModelServer(lambda system, user: "") as server:
-        with _HTTPTransport(server.url) as transport:
+        with HTTPTransport(server.url) as transport:
             with pytest.raises(ValueError):
                 transport({}, {"temperature": float("nan")}, 5.0)
             assert (server.connections, server.requests) == (0, [])
@@ -633,7 +674,7 @@ def test_a_body_that_is_not_json_takes_no_connection():
 
 def test_a_connection_is_reused_by_whichever_thread_sends_next():
     with MockModelServer(lambda system, user: "") as server:
-        with _HTTPTransport(server.url) as transport:
+        with HTTPTransport(server.url) as transport:
             for _ in range(3):
                 sender = threading.Thread(target=transport, args=({}, {"messages": []}, 5.0))
                 sender.start()
@@ -658,12 +699,12 @@ def test_a_parallel_run_opens_at_most_one_connection_per_worker(tmp_path):
 def test_run_closes_every_connection_it_opened(tmp_path, monkeypatch, fails):
     made = []
 
-    class Kept(runner._HTTPTransport):
+    class Kept(HTTPTransport):
         def __init__(self, url):
             super().__init__(url)
             made.append(self)  # kept alive, so no garbage collection closes a connection
 
-    monkeypatch.setattr(runner, "_HTTPTransport", Kept)
+    monkeypatch.setattr(runner, "HTTPTransport", Kept)
     if fails:
         def broken(raw, expected_keys):
             raise RuntimeError("planted parser fault")
@@ -701,9 +742,60 @@ def test_replies_on_a_reused_connection_are_not_held_by_delayed_acks(tmp_path):
     assert statistics.median(latencies) < 20
 
 
+def read_request(conn) -> bytes | None:
+    """The next request's bytes on ``conn``, or None when the client hung up."""
+    request = b""
+    while b"\r\n\r\n" not in request:
+        data = conn.recv(65536)
+        if not data:
+            return None
+        request += data
+    head, _, body = request.partition(b"\r\n\r\n")
+    length = int(re.search(rb"(?i)content-length: *(\d+)", head)[1])
+    while len(body) < length:
+        body += conn.recv(65536)
+    return request
+
+
+ENVELOPE = json.dumps({"choices": [{"message": {"content": pong("", "")}}]}).encode()
+
+
+def reply_bytes(head: bytes = b"HTTP/1.1 200 OK", body: bytes = ENVELOPE) -> bytes:
+    return head + b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+
+
+@contextlib.contextmanager
+def raw_server(replies):
+    """An HTTP server on a raw socket that sends ``replies`` in turn, one per request.
+
+    Each reply is ``(data, hang_up)``: ``data`` goes out as it is, and the
+    connection is closed after it when ``hang_up``.  Connections are
+    served one at a time; yields the URL and the list of accepted ones.
+    """
+    accepted = []
+
+    def serve(listener):
+        pending = list(replies)
+        while pending:
+            conn, _ = listener.accept()
+            accepted.append(conn)
+            with conn:
+                while pending and read_request(conn) is not None:
+                    data, hang_up = pending.pop(0)
+                    conn.sendall(data)
+                    if hang_up:
+                        break
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        server = threading.Thread(target=serve, args=(listener,), daemon=True)
+        server.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}/v1", accepted
+        server.join(timeout=5)
+    assert not server.is_alive()
+
+
 def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
-    envelope = json.dumps({"choices": [{"message": {"content": pong("", "")}}]}).encode()
-    reply = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(envelope), envelope)
+    reply = reply_bytes()
     hung_up = threading.Event()
     hung_up.set()
 
@@ -712,13 +804,7 @@ def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
         for _ in range(3):
             conn, _ = listener.accept()
             with conn:
-                request = b""
-                while b"\r\n\r\n" not in request:
-                    request += conn.recv(65536)
-                head, _, body = request.partition(b"\r\n\r\n")
-                length = int(re.search(rb"(?i)content-length: *(\d+)", head)[1])
-                while len(body) < length:
-                    body += conn.recv(65536)
+                read_request(conn)
                 conn.sendall(reply)
             hung_up.set()
 
@@ -735,13 +821,229 @@ def test_a_connection_the_server_dropped_while_idle_costs_no_attempt(tmp_path):
             name="drops", url=f"http://127.0.0.1:{port}/v1", retry_base_s=0.0, max_retries=2
         )
         prompts = [make_prompt(i) for i in range(3)]
-        with _HTTPTransport(endpoint.url) as transport:
+        with HTTPTransport(endpoint.url) as transport:
             run(prompts, endpoint, tmp_path / "run", parallelism=1,
                 transport=after_the_server_hangs_up)
         server.join(timeout=5)
     assert not server.is_alive()
     records = read_records(tmp_path / "run").values()
     assert [(r.status, r.attempts) for r in records] == [(STATUS_OK, 1)] * 3
+
+
+def test_a_reply_cut_short_closes_its_connection_and_ends_as_a_transport_error(tmp_path):
+    cut = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + ENVELOPE[:10]
+    with raw_server([(cut, True)] * 2) as (url, accepted):
+        endpoint = EndpointConfig(name="cut", url=url, retry_base_s=0.0, max_retries=1)
+        with HTTPTransport(url) as transport:
+            summary = run([make_prompt(0)], endpoint, tmp_path / "run", transport=transport)
+            assert transport._idle == []
+    assert (summary["transport_error"], len(accepted)) == (1, 2)
+    record = read_records(tmp_path / "run")["x:p0:q0"]
+    assert record.attempts == 2
+    assert record.raw_text == "the reply body was cut short: 10 of 100 bytes"
+
+
+@pytest.mark.parametrize(
+    "head, error",
+    [
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536, "a reply line is longer than 65536 bytes"),
+        (b"HTTP/1.1 200 OK" + b"\r\nX-Many: 1" * 101, "the reply has more than 100 header lines"),
+    ],
+    ids=["long-line", "101-headers"],
+)
+def test_a_reply_past_http_client_limits_is_refused(head, error):
+    with raw_server([(reply_bytes(head), False)]) as (url, _):
+        with HTTPTransport(url) as transport:
+            with pytest.raises(ValueError, match=error):
+                transport({}, {"messages": []}, 5.0)
+            assert transport._idle == []
+
+
+def test_a_reply_at_http_client_limits_is_read():
+    # 65,536 bytes in the longest line, and 100 header lines with Content-Length.
+    head = b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65526 + b"\r\nX-Many: 1" * 98
+    with raw_server([(reply_bytes(head), False)]) as (url, _):
+        with HTTPTransport(url) as transport:
+            assert transport({}, {"messages": []}, 5.0) == (200, ENVELOPE.decode())
+
+
+@pytest.mark.parametrize(
+    "headers, error",
+    [
+        ({"Authorization": "Bearer {api_key}"}, "header 'Authorization' has a CR or LF"),
+        ({"X-Key": "{api_key}"}, "header 'X-Key' has a CR or LF"),
+        ({"Bad:Name": "x"}, "header name 'Bad:Name' is not a valid field name"),
+    ],
+)
+def test_a_header_http_client_would_refuse_raises_before_a_connection_is_taken(
+    monkeypatch, headers, error
+):
+    monkeypatch.setenv("LINGOBF_TEST_KEY", "secret\r\nX-Injected: 1")
+    endpoint = EndpointConfig(
+        name="e", url="http://unused", api_key_env="LINGOBF_TEST_KEY", headers=headers
+    )
+    headers, body = build_request(endpoint, make_prompt(0))
+    with MockModelServer(pong) as server:
+        with HTTPTransport(server.url) as transport:
+            with pytest.raises(ValueError, match=error) as exc:
+                transport(headers, body, 5.0)
+    assert server.connections == 0
+    assert "secret" not in str(exc.value)
+
+
+def test_each_request_is_one_write(monkeypatch):
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counted(sock, data, *args):
+        if threading.current_thread() is threading.main_thread():  # not the server's
+            writes.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counted)
+    body = {"messages": [{"role": "user", "content": "é" * 5000}]}
+    with MockModelServer(pong) as server:
+        with HTTPTransport(server.url) as transport:
+            for _ in range(3):
+                assert transport({"X-A": "1"}, body, 5.0)[0] == 200
+    assert len(writes) == len(server.requests) == 3
+    for write, (_, headers, data) in zip(writes, server.requests):
+        assert write.startswith(b"POST /v1/chat/completions HTTP/1.1\r\n")
+        assert write.endswith(b"\r\n\r\n" + data) and headers["X-A"] == "1"
+
+
+@pytest.mark.parametrize(
+    "head, connections",
+    [
+        (b"HTTP/1.1 200 OK\r\nConnection: close", 2),
+        (b"HTTP/1.0 200 OK", 2),
+        (b"HTTP/1.0 200 OK\r\nConnection: Keep-Alive", 1),
+        (b"HTTP/1.1 200 OK", 1),
+    ],
+    ids=["close", "http-1.0", "http-1.0-keep-alive", "http-1.1"],
+)
+def test_a_reply_that_closes_its_connection_makes_the_next_request_open_one(head, connections):
+    # The server keeps every connection open: only the client's reading of
+    # the first reply can make the second request open a new one.
+    with raw_server([(reply_bytes(head), False), (reply_bytes(), False)]) as (url, accepted):
+        with HTTPTransport(url) as transport:
+            for _ in range(2):
+                assert transport({}, {"messages": []}, 5.0) == (200, ENVELOPE.decode())
+    assert len(accepted) == connections
+
+
+@pytest.mark.parametrize(
+    "reply, expected",
+    [
+        (b"HTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n" + reply_bytes(),
+         (200, ENVELOPE.decode(), True)),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n",
+         (200, "abc", True)),
+    ],
+    ids=["103-skipped", "chunked-last"],
+)
+def test_read_reply_skips_every_1xx_and_dechunks_when_chunked_is_last(reply, expected):
+    # http.client returns a 103 as the reply, and reads this body to the close.
+    assert read_reply(io.BytesIO(reply)) == expected
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nab",
+         "Content-Length b'2, 3'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "Content-Length b'-1'"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x3\r\nabc\r\n0\r\n\r\n",
+         "chunk size"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabcd\r\n0\r\n\r\n", "CRLF"),
+        (b"ICY 200 OK\r\n\r\n", "not an HTTP/1.x status line"),
+        (b"HTTP/1.1 2000 OK\r\n\r\n", "not an HTTP/1.x status line"),
+    ],
+    ids=[
+        "two-lengths", "negative-length", "0x-chunk-size", "long-chunk", "not-http", "status-2000"
+    ],
+)
+def test_read_reply_refuses_a_malformed_reply(reply, error):
+    with pytest.raises(ValueError, match=re.escape(error)):
+        read_reply(io.BytesIO(reply))
+
+
+def test_read_reply_cut_short_in_its_head_is_a_connection_error():
+    for reply in (b"", b"HTTP/1.1 200 OK\r\nContent-Len"):
+        with pytest.raises(ConnectionError, match="closed"):
+            read_reply(io.BytesIO(reply))
+
+
+def mixed_case(name: str):
+    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(name, upper))
+    )
+
+
+@st.composite
+def http_replies(draw) -> bytes:
+    """A well-formed reply, optionally after 100 Continue, in each framing http.client reads."""
+    version = draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"]))
+    status = draw(st.sampled_from([200, 201, 204, 304, 404, 429, 500]))
+    no_body = status in (204, 304)
+    framings = ["length", "close"] if no_body else ["length", "chunked", "close"]
+    framing = draw(st.sampled_from(framings))
+    body = b"" if no_body else draw(
+        st.binary(max_size=60) | st.text(max_size=30).map(str.encode)
+    )
+    fields = [(draw(mixed_case("Server")), "t")]
+    charset = draw(st.sampled_from([None, "utf-8", "latin-1", '"ISO-8859-1"']))
+    if charset or draw(st.booleans()):
+        value = "application/json" + (f"; charset={charset}" if charset else "")
+        fields.append((draw(mixed_case("Content-Type")), value))
+    connection = draw(st.sampled_from([None, "close", "keep-alive", "Keep-Alive", "CLOSE"]))
+    if connection:
+        fields.append((draw(mixed_case("Connection")), connection))
+    if framing == "length":
+        fields.append((draw(mixed_case("Content-Length")), str(len(body))))
+    elif framing == "chunked":
+        fields.append((draw(mixed_case("Transfer-Encoding")), "chunked"))
+        cuts = sorted(draw(st.lists(st.integers(0, len(body)), max_size=3)))
+        chunks = [body[a:b] for a, b in zip([0, *cuts], [*cuts, len(body)]) if b > a]
+        hex_format = draw(st.sampled_from(["%x", "%X"]))
+        extension = st.sampled_from(["", ";x", ';x="y z"', ";a=1;b=2"])
+        body = b"".join(
+            (hex_format % len(chunk) + draw(extension)).encode() + b"\r\n" + chunk + b"\r\n"
+            for chunk in chunks
+        )
+        trailers = "".join(f"X-T{i}: {i}\r\n" for i in range(draw(st.integers(0, 2))))
+        body += b"0" + draw(extension).encode() + b"\r\n" + trailers.encode() + b"\r\n"
+    head = f"{version} {status} Reason\r\n" + "".join(
+        f"{name}: {value}\r\n" for name, value in draw(st.permutations(fields))
+    )
+    interim = b"HTTP/1.1 100 Continue\r\n\r\n" * draw(st.integers(0, 2))
+    return interim + head.encode("latin-1") + b"\r\n" + body
+
+
+def http_client_reads(reply: bytes) -> tuple[int, str, bool]:
+    """``http.client``'s reading of ``reply``: status, text, and if the connection stays open."""
+
+    class Sock:
+        def makefile(self, mode):
+            return io.BytesIO(reply)
+
+    response = http.client.HTTPResponse(Sock(), method="POST")
+    response.begin()
+    payload = response.read()
+    charset = response.headers.get_content_charset() or "utf-8"
+    return response.status, payload.decode(charset, errors="replace"), not response.will_close
+
+
+@given(http_replies())
+def test_read_reply_agrees_with_http_client(reply):
+    # The start of a next reply follows: one read to the close takes it in
+    # as body, and one that keeps the connection open must leave it unread.
+    stream = reply + b"HTTP/1.1 "
+    reader = io.BytesIO(stream)
+    status, text, keep_alive = read_reply(reader)
+    assert (status, text, keep_alive) == http_client_reads(stream)
+    if keep_alive:
+        assert reader.read() == b"HTTP/1.1 "
 
 
 @pytest.fixture
