@@ -341,7 +341,12 @@ class DatasetRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetRecord":
-        """The record ``to_dict`` wrote; ``ValueError`` if its answers miss or add a key."""
+        """The record ``to_dict`` wrote.
+
+        ``ValueError`` names a non-integer ``p``, ``question_index`` or
+        ``speakers`` and a non-string text field, and says so if the
+        answers miss or add a key.
+        """
         # By position, in field order: a record that lacks several fields names the first.
         record = cls(
             d["problem_id"],
@@ -356,6 +361,13 @@ class DatasetRecord:
             dict(d["answers"]),
             {k: tuple(v) for k, v in d.get("alternates", {}).items()},
         )
+        if not (
+            type(record.p) is type(record.question_index) is type(record.speakers) is int
+            and type(record.problem_id) is type(record.difficulty) is type(record.body) is str
+            and type(record.preamble) is type(record.context) is str
+        ):
+            jsonio.check_types(d, (int,), "p", "question_index", "speakers")
+            jsonio.check_types(d, (str,), "problem_id", "difficulty", "preamble", "context", "body")
         keys = {key for key, _ in record.subquestions}
         if record.answers.keys() != keys or not record.alternates.keys() <= keys:
             raise ValueError(

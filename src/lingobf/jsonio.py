@@ -132,6 +132,25 @@ def write_lines(path: str | Path, payloads: Iterable) -> int:
     return count
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               dict: "an object", type(None): "null"}
+
+
+def check_types(record: dict, kinds: tuple[type, ...], *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``names`` in ``record`` of none of ``kinds``.
+
+    Types match exactly, but an integer is also a number (``float``); a
+    boolean is neither.  A field that ``record`` lacks is left to the
+    decoder, which names it as missing.
+    """
+    for name in names:
+        value = record.get(name)
+        if name not in record or type(value) in kinds or type(value) is int and float in kinds:
+            continue
+        expected = " or ".join(_TYPE_NAMES[kind] for kind in kinds)
+        raise ValueError(f"{name} is {dumps(value)}, not {expected}")
+
+
 # What a decode may raise; _named turns each into a ValueError naming the text's source.
 _DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
 

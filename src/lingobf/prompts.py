@@ -70,6 +70,14 @@ class PromptInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PromptInstance":
+        """The prompt ``to_dict`` wrote; ``ValueError`` names a field of another JSON type."""
+        jsonio.check_types(d, (str,), "prompt_id", "variant_id", "problem_id", "system", "user")
+        jsonio.check_types(d, (int,), "p", "question_index")
+        jsonio.check_types(d, (bool,), "no_context")
+        jsonio.check_types(d, (str, type(None)), "guidance")
+        keys = d["expected_keys"]
+        if type(keys) is not list or not set(map(type, keys)) <= {str}:
+            raise ValueError(f"expected_keys is {jsonio.dumps(keys)}, not a list of strings")
         return cls(
             prompt_id=d["prompt_id"],
             variant_id=d["variant_id"],
@@ -78,7 +86,7 @@ class PromptInstance:
             question_index=d["question_index"],
             system_message=d["system"],
             user_message=d["user"],
-            expected_keys=tuple(d["expected_keys"]),
+            expected_keys=tuple(keys),
             no_context=d.get("no_context", False),
             guidance=d.get("guidance"),
         )

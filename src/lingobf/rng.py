@@ -14,8 +14,9 @@ independent stream addressed by name, never by draw order.  The fold is
 incremental: :func:`absorb` continues it, so a caller that derives many
 sibling seeds folds their shared prefix once.
 
-Batch draws: :meth:`SplitMix64.below_each` makes the draws of one
-``below`` call per bound, in order, from rejection limits that
+Bounded draws: :meth:`SplitMix64.below_each` is the one rejection loop.
+``below``, ``shuffle`` and ``cycle`` each make their draws through one
+call of it, and the bootstrap calls it with rejection limits that
 :func:`rejection_limits` computes once for bounds drawn again and again
 (one per problem, in every bootstrap set).
 """
@@ -91,22 +92,14 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        if n == 1:
-            return 0
-        limit = _MASK + 1 - ((_MASK + 1) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
+        return self.below_each(rejection_limits((n,)))[0]
 
     def below_each(self, limits: Sequence[tuple[int, int]]) -> list[int]:
-        """``[self.below(n) for n, _ in limits]``, from :func:`rejection_limits`.
+        """One uniform integer in [0, n) per ``(n, limit)`` of :func:`rejection_limits`.
 
-        The same draws in the same order, with ``next_u64`` and ``_mix``
-        inlined (tests pin the two paths equal): a bound of 1 draws
-        nothing, and a draw at or above the limit is drawn again.
+        The draws are made in order, with ``next_u64`` and ``_mix`` inlined:
+        a bound of 1 draws nothing, and a draw at or above its limit is
+        drawn again, so that ``u % n`` is unbiased.
         """
         state = self._state
         out = []
@@ -127,8 +120,10 @@ class SplitMix64:
 
     def shuffle(self, items: list[T]) -> None:
         """In-place Fisher-Yates shuffle (uniform over all permutations)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        if len(items) < 2:
+            return
+        indices = range(len(items) - 1, 0, -1)
+        for i, j in zip(indices, self.below_each(rejection_limits(i + 1 for i in indices))):
             items[i], items[j] = items[j], items[i]
 
     def cycle(self, items: Sequence[T]) -> dict[T, T]:
@@ -142,8 +137,8 @@ class SplitMix64:
         if len(items) < 2:
             raise ValueError("a full cycle needs at least 2 items")
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.below(i)
+        indices = range(len(out) - 1, 0, -1)
+        for i, j in zip(indices, self.below_each(rejection_limits(indices))):
             out[i], out[j] = out[j], out[i]
         return {src: img for src, img in zip(items, out)}
 
@@ -152,8 +147,3 @@ def stream(root: int, *tokens: int | str) -> SplitMix64:
     """Named child stream of ``root``; shorthand for SplitMix64(derive_seed(...))."""
     return SplitMix64(derive_seed(root, *tokens))
 
-
-def shuffled(rng: SplitMix64, items: Iterable[T]) -> list[T]:
-    out = list(items)
-    rng.shuffle(out)
-    return out

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import jsonio
-from .rng import SplitMix64, derive_seed, shuffled, stream
+from .rng import derive_seed, stream
 
 SCHEMA_VERSION = 1
 
@@ -185,23 +185,6 @@ class ValidationIssue:
 # Validation
 
 
-def _check_grapheme(text: str, collection: str, index: int | None) -> list[ValidationIssue]:
-    issues = []
-    if not text:
-        issues.append(ValidationIssue("empty_grapheme", collection, index, text, "empty grapheme"))
-    elif any(c in MARKER_CHARS for c in text):
-        issues.append(
-            ValidationIssue(
-                "marker_char",
-                collection,
-                index,
-                text,
-                f"grapheme {text!r} contains an annotation marker character",
-            )
-        )
-    return issues
-
-
 def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
     """Every violated invariant, with collection index and offending grapheme.
 
@@ -213,17 +196,15 @@ def validate_ruleset(ruleset: Ruleset) -> list[ValidationIssue]:
     seen: dict[str, str] = {}
 
     def claim(text: str, collection: str, index: int | None) -> None:
-        issues.extend(_check_grapheme(text, collection, index))
+        if not text:
+            message = "empty grapheme"
+            issues.append(ValidationIssue("empty_grapheme", collection, index, text, message))
+        elif any(c in MARKER_CHARS for c in text):
+            message = f"grapheme {text!r} contains an annotation marker character"
+            issues.append(ValidationIssue("marker_char", collection, index, text, message))
         if text in seen:
-            issues.append(
-                ValidationIssue(
-                    "duplicate",
-                    collection,
-                    index,
-                    text,
-                    f"duplicate grapheme {text} (also in {seen[text]})",
-                )
-            )
+            message = f"duplicate grapheme {text} (also in {seen[text]})"
+            issues.append(ValidationIssue("duplicate", collection, index, text, message))
         else:
             where = collection if index is None else f"{collection}[{index}]"
             seen[text] = where
@@ -328,19 +309,14 @@ def sample_permutation(ruleset: Ruleset, seed: int) -> PermutationMap:
 
     for kind, idx, columns in ruleset.column_groups:
         rng = stream(seed, kind, idx)
-        for src_col, img_col in _column_cycle(rng, columns):
-            for cell, img_cell in zip(src_col, img_col):
-                pairs.update(zip(cell, shuffled(rng, img_cell)))
+        image = rng.cycle(range(len(columns)))
+        for src, src_col in enumerate(columns):
+            for cell, img_cell in zip(src_col, columns[image[src]]):
+                img = list(img_cell)
+                rng.shuffle(img)
+                pairs.update(zip(cell, img))
 
     return PermutationMap(pairs=pairs, ruleset_id=ruleset.ident, seed=seed)
-
-
-def _column_cycle(rng: SplitMix64, columns: Sequence) -> Iterator[tuple]:
-    """(source column, image column) pairs under a uniform full cycle of indices."""
-    indices = list(range(len(columns)))
-    mapping = rng.cycle(indices)
-    for src in indices:
-        yield columns[src], columns[mapping[src]]
 
 
 def sample_distinct(ruleset: Ruleset, n: int, seed: int) -> list[PermutationMap]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import re
 import threading
@@ -35,7 +36,7 @@ import time
 import typing
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -49,16 +50,15 @@ STATUS_EMPTY = "empty"
 STATUS_BAD_PARSING = "bad_parsing"
 STATUS_TRANSPORT_ERROR = "transport_error"
 
-_JSON_TYPE_NAMES = {
-    str: "a string", int: "an integer", float: "a number", dict: "an object", type(None): "null"
-}
-
 # transport(headers, body, timeout_s) -> (status_code, response_text)
 Transport = Callable[[dict, dict, float], tuple[int, str]]
 
 # What http.client refuses in a request target: a space, a control
 # character, or (since the request line is ASCII) anything past ASCII.
 _NOT_IN_A_TARGET = re.compile(r"[^!-~]")
+
+# time.sleep adds its wait to the monotonic clock in int64 ns: this leaves the clock room.
+_LONGEST_WAIT_S = threading.TIMEOUT_MAX / 2
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ class EndpointConfig:
         negative; the URL's path and query must be printable ASCII without
         spaces, as a request line needs them; and the longest wait between
         attempts, ``retry_base_s * 2**(max_retries - 1)`` seconds, must not
-        be over ``threading.TIMEOUT_MAX``, past which ``time.sleep`` fails.
+        be over half of ``threading.TIMEOUT_MAX``, which ``time.sleep``
+        takes wherever the monotonic clock stands.
         """
         parts = urllib.parse.urlsplit(self.url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -125,12 +126,12 @@ class EndpointConfig:
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} is {jsonio.dumps(value)}, which is negative")
-        if self.max_retries and self.retry_wait_s(self.max_retries) > threading.TIMEOUT_MAX:
+        if self.max_retries and self.retry_wait_s(self.max_retries) > _LONGEST_WAIT_S:
             raise ValueError(
                 f"retry_base_s is {jsonio.dumps(self.retry_base_s)}: with max_retries "
                 f"{self.max_retries}, the longest wait between attempts, retry_base_s * "
-                f"2**(max_retries - 1) s, is over threading.TIMEOUT_MAX "
-                f"({threading.TIMEOUT_MAX:.0f} s)"
+                f"2**(max_retries - 1) s, is over half of threading.TIMEOUT_MAX "
+                f"({_LONGEST_WAIT_S:.0f} s)"
             )
 
     def retry_wait_s(self, attempt: int) -> float:
@@ -143,13 +144,9 @@ class EndpointConfig:
     @classmethod
     def _from_dict(cls, d: dict) -> "EndpointConfig":
         hints = typing.get_type_hints(cls)
-        for name, value in d.items():
-            if name not in hints:
-                continue  # refused by the constructor, as an unexpected argument
-            kinds = typing.get_args(hints[name]) or (hints[name],)
-            if type(value) not in kinds and not (type(value) is int and float in kinds):
-                expected = " or ".join(_JSON_TYPE_NAMES[kind] for kind in kinds)
-                raise ValueError(f"{name} is {jsonio.dumps(value)}, not {expected}")
+        # A name without a hint is refused by the constructor, as an unexpected argument.
+        for name in filter(hints.__contains__, d):
+            jsonio.check_types(d, typing.get_args(hints[name]) or (hints[name],), name)
         return cls(**d)
 
     def default_body(self) -> dict:
@@ -305,15 +302,7 @@ class ResponseRecord:
     timestamp: str
 
     def to_dict(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "status": self.status,
-            "raw_text": self.raw_text,
-            "parsed": self.parsed,
-            "attempts": self.attempts,
-            "latency_ms": self.latency_ms,
-            "timestamp": self.timestamp,
-        }
+        return {name: getattr(self, name) for name in _RECORD_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResponseRecord":
@@ -322,22 +311,19 @@ class ResponseRecord:
         ``ValueError`` if ``parsed`` is not null or an object of strings,
         which ``parse_response`` always gives.
         """
-        # By position, in field order: a record that lacks several fields names the first.
-        record = cls(
-            d["prompt_id"],
-            d["status"],
-            d["raw_text"],
-            d["parsed"],
-            d["attempts"],
-            d["latency_ms"],
-            d["timestamp"],
-        )
+        # In field order: a record that lacks several fields names the first.
+        record = cls(*_record_values(d))
         parsed = record.parsed
         if parsed is not None and not (
             type(parsed) is dict and set(map(type, parsed.values())) <= {str}
         ):
             _refuse_parsed(parsed)
         return record
+
+
+# A record's JSON keys are its field names.
+_RECORD_FIELDS = tuple(f.name for f in fields(ResponseRecord))
+_record_values = operator.itemgetter(*_RECORD_FIELDS)
 
 
 def _refuse_parsed(parsed) -> None:

@@ -308,8 +308,14 @@ def test_prompt_and_score_refuse_question_indices_that_do_not_start_at_0(
             "['1', '2']",
         ),
         (lambda record: record.update(alternates=[]), "'list' object has no attribute 'items'"),
+        (lambda record: record.update(p="0"), 'p is "0", not an integer'),
+        (lambda record: record.update(question_index=0.0), "question_index is 0.0, not an integer"),
+        (lambda record: record.update(speakers=True), "speakers is true, not an integer"),
+        (lambda record: record.update(problem_id=7), "problem_id is 7, not a string"),
+        (lambda record: record.update(body=None), "body is null, not a string"),
     ],
-    ids=["answer-missing", "alternate-unknown", "alternates-list"],
+    ids=["answer-missing", "alternate-unknown", "alternates-list", "p-string",
+         "question-index-float", "speakers-bool", "problem-id-int", "body-null"],
 )
 def test_prompt_and_score_name_a_malformed_record_line(
     capsys, corpus_dir, tmp_path, edit, detail
@@ -576,6 +582,39 @@ def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
 
 
 @pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("expected_keys", "ab", 'expected_keys is "ab", not a list of strings'),
+        ("expected_keys", ["a", 1], 'expected_keys is ["a", 1], not a list of strings'),
+        ("p", "0", 'p is "0", not an integer'),
+        ("question_index", True, "question_index is true, not an integer"),
+        ("prompt_id", 7, "prompt_id is 7, not a string"),
+        ("user", None, "user is null, not a string"),
+        ("no_context", 0, "no_context is 0, not a boolean"),
+        ("guidance", ["x"], 'guidance is ["x"], not a string or null'),
+    ],
+    ids=["expected-keys-string", "expected-keys-int-item", "p-string", "question-index-bool",
+         "prompt-id-int", "user-null", "no-context-int", "guidance-list"],
+)
+def test_a_mistyped_prompts_line_is_refused_before_the_run_directory(
+    capsys, tmp_path, corpus_dir, field, value, detail
+):
+    ds, prompts = tmp_path / "dataset", tmp_path / "p.jsonl"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    run_cli(capsys, "prompt", str(ds), "--out", str(prompts))
+    lines = prompts.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    prompts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text(json.dumps({"name": "x", "url": "http://127.0.0.1:9", "max_retries": 0}))
+    argv = ("run", "--prompts", str(prompts), "--endpoint", str(cfg))
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "run"))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "detail": f"{prompts}: line 2: {detail}"}
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "fields, flags, detail",
     [
         ('"url": "ftp://127.0.0.1:9/v1"', (),
@@ -590,13 +629,17 @@ def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
          "{cfg}: temperature is NaN, not a finite number"),
         ('"url": "http://127.0.0.1:9", "retry_base_s": 1e300, "max_retries": 1', (),
          "{cfg}: retry_base_s is 1e+300: with max_retries 1, the longest wait between attempts, "
-         "retry_base_s * 2**(max_retries - 1) s, is over threading.TIMEOUT_MAX "
-         f"({threading.TIMEOUT_MAX:.0f} s)"),
+         "retry_base_s * 2**(max_retries - 1) s, is over half of threading.TIMEOUT_MAX "
+         f"({threading.TIMEOUT_MAX / 2:.0f} s)"),
+        ('"url": "http://127.0.0.1:9", "retry_base_s": 9223372036, "max_retries": 1', (),
+         "{cfg}: retry_base_s is 9223372036: with max_retries 1, the longest wait between "
+         "attempts, retry_base_s * 2**(max_retries - 1) s, is over half of "
+         f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX / 2:.0f} s)"),
         ('"url": "http://127.0.0.1:9"', ("--parallelism", "0"),
          "parallelism is 0, not at least 1"),
     ],
     ids=["ftp-url", "no-host", "nan-timeout", "infinite-retry-base", "nan-temperature",
-         "retry-wait-overflow", "parallelism-0"],
+         "retry-wait-overflow", "retry-wait-past-the-clock", "parallelism-0"],
 )
 def test_a_run_that_cannot_be_made_is_refused_before_the_run_directory(
     capsys, tmp_path, corpus_dir, fields, flags, detail

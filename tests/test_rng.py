@@ -96,12 +96,62 @@ _BOUNDS = st.lists(
 )
 
 
-@given(st.integers(0, 2**64 - 1), _BOUNDS)
-def test_below_each_makes_the_draws_of_below(seed, bounds):
+def _reference_below(rng, n):
+    """Uniform in [0, n) by one loop over ``next_u64``, redrawing past the last multiple of n."""
+    if n == 1:
+        return 0
+    limit = 2**64 - 2**64 % n
+    while True:
+        u = rng.next_u64()
+        if u < limit:
+            return u % n
+
+
+def _reference_fisher_yates(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = _reference_below(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _reference_sattolo(rng, items):
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = _reference_below(rng, i)
+        out[i], out[j] = out[j], out[i]
+    return dict(zip(items, out))
+
+
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+@given(_SEEDS, _BOUNDS)
+def test_below_and_below_each_make_the_draws_of_the_reference_loop(seed, bounds):
     # Bounds past 2**63 reject about half their draws, so the redraw path runs too.
-    batch, single = SplitMix64(seed), SplitMix64(seed)
-    assert batch.below_each(rejection_limits(bounds)) == [single.below(n) for n in bounds]
-    assert batch.next_u64() == single.next_u64()
+    batch, single, reference = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+    expected = [_reference_below(reference, n) for n in bounds]
+    assert batch.below_each(rejection_limits(bounds)) == expected
+    assert [single.below(n) for n in bounds] == expected
+    assert batch.next_u64() == single.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("length", range(13))
+@given(seed=_SEEDS)
+def test_shuffle_is_fisher_yates_over_the_reference_loop(length, seed):
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    items, expected = list(range(length)), list(range(length))
+    rng.shuffle(items)
+    _reference_fisher_yates(reference, expected)
+    assert items == expected
+    assert rng.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+@given(seed=_SEEDS)
+def test_cycle_is_sattolo_over_the_reference_loop(length, seed):
+    rng, reference = SplitMix64(seed), SplitMix64(seed)
+    items = [f"g{i}" for i in range(length)]
+    assert rng.cycle(items) == _reference_sattolo(reference, items)
+    assert rng.next_u64() == reference.next_u64()
 
 
 def test_a_bound_of_one_draws_nothing():

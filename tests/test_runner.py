@@ -260,9 +260,13 @@ def test_an_endpoint_run_cannot_use_is_refused_naming_the_file(tmp_path, field, 
     "retry_base_s, max_retries, refused",
     [
         (1e300, 1, True),
-        (threading.TIMEOUT_MAX, 1, False),
-        (threading.TIMEOUT_MAX / 2, 2, False),
+        # time.sleep refuses waits a little under TIMEOUT_MAX, so half of it is the most.
+        (threading.TIMEOUT_MAX, 1, True),
+        (threading.TIMEOUT_MAX / 2, 1, False),
+        (threading.TIMEOUT_MAX / 2, 2, True),
+        (threading.TIMEOUT_MAX / 4, 2, False),
         (threading.TIMEOUT_MAX, 2, True),
+        (9223372036, 1, True),
         (0, 1025, False),  # 0.0 * 2**1024 overflows
         (1e300, 0, False),  # never waits
     ],
@@ -283,7 +287,7 @@ def test_a_retry_wait_past_timeout_max_is_refused_naming_the_file(
     assert str(exc.value) == (
         f"{path}: retry_base_s is {json.dumps(retry_base_s)}: with max_retries {max_retries}, "
         "the longest wait between attempts, retry_base_s * 2**(max_retries - 1) s, is over "
-        f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX:.0f} s)"
+        f"half of threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX / 2:.0f} s)"
     )
 
 
