@@ -31,8 +31,9 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypedDict
 
 from . import annotations, jsonio
 from .obfuscate import CompiledTexts
@@ -41,7 +42,6 @@ from .rulesets import (
     PermutationMap,
     Ruleset,
     _norm,
-    ruleset_from_dict,
     sample_distinct,
 )
 
@@ -186,7 +186,7 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
     if not isinstance(speakers, int) or speakers <= 0:
         raise ValueError("language.speakers must be a positive integer")
 
-    ruleset = read(RULESET_FILE, ruleset_from_dict)
+    ruleset = read(RULESET_FILE, Ruleset.from_dict)
     raw_answers = read(ANSWERS_FILE, list, list)
 
     text = _norm((path / PROBLEM_FILE).read_text(encoding="utf-8"))
@@ -297,7 +297,7 @@ def load_corpus(directory: str | Path, *, fold_case: bool = True) -> tuple[Corpu
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    """One question of one problem variant, fully rendered."""
+    """One question of one problem variant, fully rendered; answers are keyed as sub-questions."""
 
     problem_id: str
     p: int  # 0 = original (identity map)
@@ -309,7 +309,7 @@ class DatasetRecord:
     body: str
     subquestions: tuple[tuple[str, str], ...]  # (key, rendered text)
     answers: dict[str, str]  # key -> rendered gold
-    alternates: dict[str, tuple[str, ...]]
+    alternates: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @property
     def variant_id(self) -> str:
@@ -323,59 +323,27 @@ class DatasetRecord:
     def expected_keys(self) -> tuple[str, ...]:
         return tuple([key for key, _ in self.subquestions])
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "problem_id": self.problem_id,
-            "p": self.p,
-            "question_index": self.question_index,
-            "difficulty": self.difficulty,
-            "speakers": self.speakers,
-            "preamble": self.preamble,
-            "context": self.context,
-            "body": self.body,
-            "subquestions": [{"key": k, "text": t} for k, t in self.subquestions],
-            "answers": self.answers,
-            "alternates": {k: list(v) for k, v in self.alternates.items() if v},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetRecord":
-        """The record ``to_dict`` wrote.
-
-        ``ValueError`` names a non-integer ``p``, ``question_index`` or
-        ``speakers`` and a non-string text field, and says so if the
-        answers miss or add a key.
-        """
-        # By position, in field order: a record that lacks several fields names the first.
-        record = cls(
-            d["problem_id"],
-            d["p"],
-            d["question_index"],
-            d["difficulty"],
-            d["speakers"],
-            d["preamble"],
-            d["context"],
-            d["body"],
-            tuple([(s["key"], s["text"]) for s in d["subquestions"]]),
-            dict(d["answers"]),
-            {k: tuple(v) for k, v in d.get("alternates", {}).items()},
-        )
-        if not (
-            type(record.p) is type(record.question_index) is type(record.speakers) is int
-            and type(record.problem_id) is type(record.difficulty) is type(record.body) is str
-            and type(record.preamble) is type(record.context) is str
-        ):
-            jsonio.check_types(d, (int,), "p", "question_index", "speakers")
-            jsonio.check_types(d, (str,), "problem_id", "difficulty", "preamble", "context", "body")
-        keys = {key for key, _ in record.subquestions}
-        if record.answers.keys() != keys or not record.alternates.keys() <= keys:
+    def __post_init__(self) -> None:
+        keys = dict(self.subquestions).keys()
+        if self.answers.keys() != keys or not self.alternates.keys() <= keys:
             raise ValueError(
-                f"answers keys {sorted(record.answers)} or alternates keys "
-                f"{sorted(record.alternates)} are not the sub-question keys "
-                f"{list(record.expected_keys)}"
+                f"answers keys {sorted(self.answers)} or alternates keys "
+                f"{sorted(self.alternates)} are not the sub-question keys "
+                f"{list(self.expected_keys)}"
             )
-        return record
+
+
+# A record's file layout: sub-questions as {key, text} objects, no empty alternates.
+jsonio.codec(
+    DatasetRecord,
+    schema_version=SCHEMA_VERSION,
+    subquestions=jsonio.Member(
+        json_type=tuple[TypedDict("Subquestion", {"key": str, "text": str}), ...],
+        decode=lambda subs: tuple(map(itemgetter("key", "text"), subs)),
+        encode=lambda subs: [{"key": key, "text": text} for key, text in subs],
+    ),
+    alternates=jsonio.Member(encode=lambda alts: {k: list(v) for k, v in alts.items() if v}),
+)
 
 
 @dataclass(frozen=True)

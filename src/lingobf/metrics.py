@@ -32,6 +32,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterable, Mapping, Sequence
 
+from . import jsonio
 from .corpus import DatasetRecord, group_variants
 from .runner import STATUS_OK, ResponseRecord
 
@@ -89,6 +90,28 @@ class ProblemScores:
     scores: tuple[tuple[tuple[int, ...], ...], ...]
     answer_types: tuple[tuple[str, ...], ...]  # [j][k]
 
+    def __post_init__(self) -> None:
+        """Refuse speakers below 1, and scores other than 0s and 1s shaped as answer_types."""
+        where = f"problem {self.problem_id}"
+        if self.speakers < 1:
+            raise ValueError(f"{where}: speakers is {self.speakers}, not a positive integer")
+        shape = [len(q) for q in self.answer_types]
+        if not (self.scores and shape and all(shape)):
+            raise ValueError(f"{where}: empty scores or answer_types")
+        for perm, variant in enumerate(self.scores):
+            rows = list(map(len, variant))
+            if rows != shape:
+                raise ValueError(
+                    f"{where}: variant p={perm} has rows of {rows} scores, answer_types has {shape}"
+                )
+        if not {0, 1}.issuperset(chain.from_iterable(chain.from_iterable(self.scores))):
+            perm, cell = next(
+                (p, c) for p, v in enumerate(self.scores) for c in chain(*v) if c not in {0, 1}
+            )
+            raise ValueError(
+                f"{where}: variant p={perm} has a score of {jsonio.dumps(cell)}, not 0 or 1"
+            )
+
     @property
     def permutations(self) -> int:
         """P_i: number of sampled (non-identity) permutations."""
@@ -113,81 +136,21 @@ class ScoreTensor:
     problems: tuple[ProblemScores, ...]
     case_sensitive: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "case_sensitive": self.case_sensitive,
-            "problems": [
-                {
-                    "problem_id": p.problem_id,
-                    "difficulty": p.difficulty,
-                    "speakers": p.speakers,
-                    "scores": [[list(q) for q in perm] for perm in p.scores],
-                    "answer_types": [list(q) for q in p.answer_types],
-                }
-                for p in self.problems
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScoreTensor":
-        """The tensor ``to_dict`` wrote.
-
-        ``ValueError`` if there is no problem, or naming a problem given
-        twice, a problem whose ``speakers`` is not a positive JSON integer
-        or whose ``difficulty`` is not a string, a problem of another
-        shape, or a problem and its p with a cell that is not the JSON
-        integer 0 or 1.
-        """
-        problems = []
-        seen = set()
-        for p in data["problems"]:
-            problem = ProblemScores(
-                p["problem_id"],
-                p["difficulty"],
-                p["speakers"],
-                tuple(tuple(map(tuple, perm)) for perm in p["scores"]),
-                tuple(map(tuple, p["answer_types"])),
-            )
-            if problem.problem_id in seen:
-                raise ValueError(f"problem {problem.problem_id} appears more than once")
-            seen.add(problem.problem_id)
-            if type(problem.speakers) is not int or problem.speakers < 1:
-                _refuse_field(problem, "speakers", problem.speakers, "a positive integer")
-            if not isinstance(problem.difficulty, str):
-                _refuse_field(problem, "difficulty", problem.difficulty, "a string")
-            shape = [len(q) for q in problem.answer_types]
-            if not (problem.scores and shape and all(shape)):
-                raise ValueError(f"problem {problem.problem_id}: empty scores or answer_types")
-            for perm, variant in enumerate(problem.scores):
-                rows = [len(row) for row in variant]
-                if rows != shape:
-                    raise ValueError(
-                        f"problem {problem.problem_id}: variant p={perm} has rows of {rows} "
-                        f"scores, answer_types has {shape}"
-                    )
-            cells = list(chain.from_iterable(chain.from_iterable(problem.scores)))
-            if not (set(map(type, cells)) <= {int} and set(cells) <= {0, 1}):
-                _refuse_cells(problem)
-            problems.append(problem)
-        if not problems:
-            raise ValueError("score tensor has no problems")
-        return cls(problems=tuple(problems), case_sensitive=data.get("case_sensitive", True))
+    def __post_init__(self) -> None:
+        ids = [problem.problem_id for problem in self.problems]
+        if len(set(ids)) < len(ids):
+            repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
+            raise ValueError(f"problem {repeated} appears more than once")
 
 
-def _refuse_field(problem: ProblemScores, name: str, value, expected: str) -> None:
-    shown = json.dumps(value, ensure_ascii=False)
-    raise ValueError(f"problem {problem.problem_id}: {name} is {shown}, not {expected}")
+def _some_problems(problems: tuple[ProblemScores, ...]) -> tuple[ProblemScores, ...]:
+    if not problems:
+        raise ValueError("score tensor has no problems")
+    return problems
 
 
-def _refuse_cells(problem: ProblemScores) -> None:
-    for perm, variant in enumerate(problem.scores):
-        for cell in chain.from_iterable(variant):
-            if type(cell) is not int or cell not in (0, 1):
-                raise ValueError(
-                    f"problem {problem.problem_id}: variant p={perm} has a score of "
-                    f"{json.dumps(cell, ensure_ascii=False)}, not 0 or 1"
-                )
+# A scores file holds at least one problem; score_run may build a tensor of none.
+jsonio.codec(ScoreTensor, schema_version=1, problems=jsonio.Member(decode=_some_problems))
 
 
 class UnknownPromptError(ValueError):

@@ -54,42 +54,11 @@ class PromptInstance:
     no_context: bool = False
     guidance: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "prompt_id": self.prompt_id,
-            "variant_id": self.variant_id,
-            "problem_id": self.problem_id,
-            "p": self.p,
-            "question_index": self.question_index,
-            "system": self.system_message,
-            "user": self.user_message,
-            "expected_keys": list(self.expected_keys),
-            "no_context": self.no_context,
-            "guidance": self.guidance,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PromptInstance":
-        """The prompt ``to_dict`` wrote; ``ValueError`` names a field of another JSON type."""
-        jsonio.check_types(d, (str,), "prompt_id", "variant_id", "problem_id", "system", "user")
-        jsonio.check_types(d, (int,), "p", "question_index")
-        jsonio.check_types(d, (bool,), "no_context")
-        jsonio.check_types(d, (str, type(None)), "guidance")
-        keys = d["expected_keys"]
-        if type(keys) is not list or not set(map(type, keys)) <= {str}:
-            raise ValueError(f"expected_keys is {jsonio.dumps(keys)}, not a list of strings")
-        return cls(
-            prompt_id=d["prompt_id"],
-            variant_id=d["variant_id"],
-            problem_id=d["problem_id"],
-            p=d["p"],
-            question_index=d["question_index"],
-            system_message=d["system"],
-            user_message=d["user"],
-            expected_keys=tuple(keys),
-            no_context=d.get("no_context", False),
-            guidance=d.get("guidance"),
-        )
+# A prompt file names the two messages "system" and "user".
+jsonio.codec(
+    PromptInstance, system_message=jsonio.Member("system"), user_message=jsonio.Member("user")
+)
 
 
 def _question_text(record: DatasetRecord) -> str:

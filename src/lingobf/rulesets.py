@@ -37,7 +37,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Sequence
 
 from . import jsonio
 from .rng import derive_seed, stream
@@ -108,7 +108,7 @@ class Ruleset:
         Computed once per instance; the dataclass is frozen, so the content
         it digests cannot change.
         """
-        payload = jsonio.dumps(ruleset_to_dict(self))
+        payload = jsonio.dumps(self.to_dict())
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     @cached_property
@@ -403,70 +403,31 @@ def map_issues(ruleset: Ruleset, pmap: PermutationMap, *, sampled: bool = True) 
 # Serialization
 
 
-def _list(value, field: str):
-    """``value``, where the schema has a list; ``ValueError`` naming ``field`` if a string.
-
-    Iterating a bare string would silently read it as a list of its characters.
-    """
-    if isinstance(value, str):
-        raise ValueError(f"{field} must be a list, not the string {value!r}")
-    return value
+def _graphemes(values: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(map(_norm, values))
 
 
-def ruleset_from_dict(data: dict) -> Ruleset:
-    """Build a (normalized) Ruleset from the documented JSON shape.
-
-    Free-table column entries may be a bare string (singleton cell) or an
-    array of strings; a bare string anywhere else the schema has an array
-    raises ``ValueError`` naming the field.  All grapheme text is
-    NFC-normalized on ingest.
-    """
-
-    def graphemes(value, field: str) -> tuple[str, ...]:
-        return tuple(_norm(g) for g in _list(value, field))
-
-    def cell(entry) -> tuple[str, ...]:
-        return (_norm(entry),) if isinstance(entry, str) else tuple(_norm(g) for g in entry)
-
-    def columns(kind: str) -> Iterator[list[tuple[str, list]]]:
-        """(field name, column) of every column, for each table of ``kind``."""
-        for i, table in enumerate(data.get(kind, ())):
-            where = f"{kind}[{i}].columns"
-            yield [(f"{where}[{c}]", col) for c, col in enumerate(_list(table["columns"], where))]
-
-    sets = _list(data.get("sets", ()), "sets")
-    return Ruleset(
-        fixed=graphemes(data.get("fixed", ()), "fixed"),
-        sets=tuple(graphemes(s, f"sets[{i}]") for i, s in enumerate(sets)),
-        tables=tuple(
-            Table(columns=tuple(graphemes(col, where) for where, col in cols))
-            for cols in columns("tables")
+# Every grapheme is NFC-normalized on ingest.  A free-table cell is a list
+# of graphemes or, for one grapheme, may be (and is written as) a string.
+jsonio.codec(Table, columns=jsonio.Member(decode=lambda columns: tuple(map(_graphemes, columns))))
+jsonio.codec(
+    FreeTable,
+    columns=jsonio.Member(
+        json_type=tuple[tuple[Any, ...], ...],
+        decode=lambda columns: tuple(
+            tuple(_graphemes([c] if isinstance(c, str) else c) for c in cs) for cs in columns
         ),
-        free_tables=tuple(
-            FreeTable(columns=tuple(tuple(map(cell, _list(col, where))) for where, col in cols))
-            for cols in columns("free_tables")
-        ),
-    )
-
-
-def ruleset_to_dict(ruleset: Ruleset) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "fixed": list(ruleset.fixed),
-        "sets": [list(s) for s in ruleset.sets],
-        "tables": [{"columns": [list(col) for col in t.columns]} for t in ruleset.tables],
-        "free_tables": [
-            {
-                "columns": [
-                    [cell[0] if len(cell) == 1 else list(cell) for cell in col]
-                    for col in ft.columns
-                ]
-            }
-            for ft in ruleset.free_tables
-        ],
-    }
+        encode=lambda columns: [[c[0] if len(c) == 1 else list(c) for c in col] for col in columns],
+    ),
+)
+jsonio.codec(
+    Ruleset,
+    schema_version=SCHEMA_VERSION,
+    fixed=jsonio.Member(decode=_graphemes),
+    sets=jsonio.Member(decode=lambda sets: tuple(map(_graphemes, sets))),
+)
 
 
 def load_ruleset(path: str | Path) -> Ruleset:
     """The ruleset at ``path``; ``ValueError`` naming the file if it is malformed."""
-    return jsonio.read_json(path, ruleset_from_dict)
+    return jsonio.read_json(path, Ruleset.from_dict)

@@ -28,15 +28,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import operator
 import os
 import re
 import threading
 import time
-import typing
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -49,6 +47,7 @@ STATUS_OK = "ok"
 STATUS_EMPTY = "empty"
 STATUS_BAD_PARSING = "bad_parsing"
 STATUS_TRANSPORT_ERROR = "transport_error"
+_STATUSES = (STATUS_OK, STATUS_EMPTY, STATUS_BAD_PARSING, STATUS_TRANSPORT_ERROR)
 
 # transport(headers, body, timeout_s) -> (status_code, response_text)
 Transport = Callable[[dict, dict, float], tuple[int, str]]
@@ -86,14 +85,10 @@ class EndpointConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "EndpointConfig":
-        """The config in the JSON file ``path``.
-
-        Each field must have the JSON type its annotation above states (an
-        integer is also a number; a boolean is neither) and meet the rules
-        of ``__post_init__``; else ``ValueError`` names the file and the
-        field.
+        """The config in the JSON file ``path``; ``ValueError`` names the file and any field
+        that is unknown, of another JSON type than its annotation, or refused by ``__post_init__``.
         """
-        return jsonio.read_json(path, cls._from_dict)
+        return jsonio.read_json(path, cls.from_dict)
 
     def __post_init__(self) -> None:
         """Refuse a config that ``run`` cannot use.
@@ -141,14 +136,6 @@ class EndpointConfig:
         except OverflowError:
             return math.inf
 
-    @classmethod
-    def _from_dict(cls, d: dict) -> "EndpointConfig":
-        hints = typing.get_type_hints(cls)
-        # A name without a hint is refused by the constructor, as an unexpected argument.
-        for name in filter(hints.__contains__, d):
-            jsonio.check_types(d, typing.get_args(hints[name]) or (hints[name],), name)
-        return cls(**d)
-
     def default_body(self) -> dict:
         body: dict = {
             "model": "{model}",
@@ -162,6 +149,10 @@ class EndpointConfig:
         if self.max_output_tokens is not None:
             body["max_tokens"] = self.max_output_tokens
         return body
+
+
+# A config file names only fields: a misspelt one is refused, not ignored.
+jsonio.codec(EndpointConfig, closed=True)
 
 
 _SLOT = re.compile(r"\{(system|user|model|api_key)\}")
@@ -301,37 +292,13 @@ class ResponseRecord:
     latency_ms: float
     timestamp: str
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _RECORD_FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResponseRecord":
-        """The record ``to_dict`` wrote.
-
-        ``ValueError`` if ``parsed`` is not null or an object of strings,
-        which ``parse_response`` always gives.
-        """
-        # In field order: a record that lacks several fields names the first.
-        record = cls(*_record_values(d))
-        parsed = record.parsed
-        if parsed is not None and not (
-            type(parsed) is dict and set(map(type, parsed.values())) <= {str}
-        ):
-            _refuse_parsed(parsed)
-        return record
+    def __post_init__(self) -> None:
+        if self.status not in _STATUSES:
+            shown = ", ".join(map(jsonio.dumps, _STATUSES))
+            raise ValueError(f"status is {jsonio.dumps(self.status)}, not one of {shown}")
 
 
-# A record's JSON keys are its field names.
-_RECORD_FIELDS = tuple(f.name for f in fields(ResponseRecord))
-_record_values = operator.itemgetter(*_RECORD_FIELDS)
-
-
-def _refuse_parsed(parsed) -> None:
-    if not isinstance(parsed, dict):
-        raise ValueError(f"parsed is a JSON {type(parsed).__name__}, not null or an object")
-    for key, value in parsed.items():
-        if type(value) is not str:
-            raise ValueError(f"parsed[{jsonio.dumps(key)}] is {jsonio.dumps(value)}, not a string")
+jsonio.codec(ResponseRecord)
 
 
 def read_records(run_dir: str | Path) -> dict[str, ResponseRecord]:
@@ -472,7 +439,7 @@ def run(
         "skipped": len(prompts) - len(pending),
         "ran": len(pending),
     }
-    for status in (STATUS_OK, STATUS_EMPTY, STATUS_BAD_PARSING, STATUS_TRANSPORT_ERROR):
+    for status in _STATUSES:
         summary[status] = statuses.count(status)
     return summary
 

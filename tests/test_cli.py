@@ -307,15 +307,29 @@ def test_prompt_and_score_refuse_question_indices_that_do_not_start_at_0(
             "answers keys ['1', '2'] or alternates keys ['9'] are not the sub-question keys "
             "['1', '2']",
         ),
-        (lambda record: record.update(alternates=[]), "'list' object has no attribute 'items'"),
+        (lambda record: record.update(alternates=[]), "alternates is [], not an object"),
         (lambda record: record.update(p="0"), 'p is "0", not an integer'),
         (lambda record: record.update(question_index=0.0), "question_index is 0.0, not an integer"),
         (lambda record: record.update(speakers=True), "speakers is true, not an integer"),
         (lambda record: record.update(problem_id=7), "problem_id is 7, not a string"),
         (lambda record: record.update(body=None), "body is null, not a string"),
+        (lambda record: record["answers"].update({"1": 5}), 'answers["1"] is 5, not a string'),
+        (
+            lambda record: record["subquestions"][1].update(text=7),
+            "subquestions[1].text is 7, not a string",
+        ),
+        (
+            lambda record: record.update(alternates={"1": "ab"}),
+            'alternates["1"] is "ab", not a list',
+        ),
+        (
+            lambda record: record["subquestions"][0].pop("text"),
+            "record lacks field 'subquestions[0].text'",
+        ),
     ],
     ids=["answer-missing", "alternate-unknown", "alternates-list", "p-string",
-         "question-index-float", "speakers-bool", "problem-id-int", "body-null"],
+         "question-index-float", "speakers-bool", "problem-id-int", "body-null", "answer-int",
+         "subquestion-text-int", "alternates-string", "subquestion-text-missing"],
 )
 def test_prompt_and_score_name_a_malformed_record_line(
     capsys, corpus_dir, tmp_path, edit, detail
@@ -409,16 +423,31 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
                     "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
                     "scores": [[[1, 0]]], "answer_types": [["YN", "YN"]], name: value,
                 }]}),
-                f"problem x1: {name} is {json.dumps(value)}, not {expected}",
+                f"{where}{name} is {json.dumps(value)}, not {expected}",
             )
-            for name, value, expected in [
-                ("speakers", 0, "a positive integer"),
-                ("speakers", -3, "a positive integer"),
-                ("speakers", True, "a positive integer"),
-                ("speakers", "9", "a positive integer"),
-                ("speakers", 9.5, "a positive integer"),
-                ("difficulty", 5, "a string"),
+            for where, name, value, expected in [
+                ("problem x1: ", "speakers", 0, "a positive integer"),
+                ("problem x1: ", "speakers", -3, "a positive integer"),
+                ("problems[0].", "speakers", True, "an integer"),
+                ("problems[0].", "speakers", "9", "an integer"),
+                ("problems[0].", "speakers", 9.5, "an integer"),
+                ("problems[0].", "difficulty", 5, "a string"),
+                ("problems[0].", "problem_id", 7, "a string"),
             ]
+        ),
+        (
+            json.dumps({"case_sensitive": "no", "problems": [{
+                "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+                "scores": [[[1, 0]]], "answer_types": [["YN", "YN"]],
+            }]}),
+            'case_sensitive is "no", not a boolean',
+        ),
+        (
+            json.dumps({"problems": [{
+                "problem_id": "x1", "difficulty": "Foundation", "speakers": 9,
+                "scores": [[[1, 0]]], "answer_types": [[1, None]],
+            }]}),
+            "problems[0].answer_types[0][0] is 1, not a string",
         ),
     ],
     ids=[
@@ -434,6 +463,9 @@ def test_report_names_a_malformed_run_manifest(capsys, tmp_path, content, detail
         "speakers-string",
         "speakers-float",
         "difficulty-number",
+        "problem-id-number",
+        "case-sensitive-string",
+        "answer-type-number",
     ],
 )
 def test_malformed_scores_file_is_named(capsys, tmp_path, content, detail):
@@ -457,6 +489,8 @@ def test_a_score_cell_other_than_0_or_1_is_named(capsys, tmp_path, cell):
         encoding="utf-8",
     )
     detail = f"{scores}: problem x1: variant p=1 has a score of {cell}, not 0 or 1"
+    if cell not in ("2", "-1"):  # not a JSON integer
+        detail = f"{scores}: problems[0].scores[1][0][1] is {cell}, not an integer"
     for argv in (
         ("bootstrap", "--scores", str(scores), "--seed", "1"),
         ("report", "--scores", str(scores), "--out", str(tmp_path / "report")),
@@ -470,7 +504,7 @@ def test_a_score_cell_other_than_0_or_1_is_named(capsys, tmp_path, cell):
 @pytest.mark.parametrize(
     "parsed, detail",
     [
-        (["a"], "parsed is a JSON list, not null or an object"),
+        (["a"], 'parsed is ["a"], not an object or null'),
         ({"1": 5}, 'parsed["1"] is 5, not a string'),
     ],
     ids=["list", "int-value"],
@@ -584,8 +618,8 @@ def test_a_mistyped_endpoint_config_is_refused_before_the_run_directory(
 @pytest.mark.parametrize(
     "field, value, detail",
     [
-        ("expected_keys", "ab", 'expected_keys is "ab", not a list of strings'),
-        ("expected_keys", ["a", 1], 'expected_keys is ["a", 1], not a list of strings'),
+        ("expected_keys", "ab", 'expected_keys is "ab", not a list'),
+        ("expected_keys", ["a", 1], "expected_keys[1] is 1, not a string"),
         ("p", "0", 'p is "0", not an integer'),
         ("question_index", True, "question_index is true, not an integer"),
         ("prompt_id", 7, "prompt_id is 7, not a string"),

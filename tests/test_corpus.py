@@ -88,39 +88,39 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         ("answers.json", '{"1": "x"}', "answers.json: record is a JSON dict, not a list"),
         ("answers.json", "[{oops", "answers.json: Expecting property name"),
         ("ruleset.json", "[]", "ruleset.json: record is a JSON list, not an object"),
-        ("ruleset.json", '{"sets": 5}', "ruleset.json: 'int' object is not iterable"),
+        ("ruleset.json", '{"sets": 5}', "ruleset.json: sets is 5, not a list"),
         (
             "ruleset.json",
             '{"tables": [{"cols": []}]}',
-            "ruleset.json: record lacks field 'columns'",
+            "ruleset.json: record lacks field 'tables[0].columns'",
         ),
         ("ruleset.json", "{oops", "ruleset.json: Expecting property name"),
-        ("ruleset.json", '{"fixed": "sh"}', "ruleset.json: fixed must be a list, not the string"),
-        ("ruleset.json", '{"sets": "ab"}', "ruleset.json: sets must be a list, not the string"),
+        ("ruleset.json", '{"fixed": "sh"}', 'ruleset.json: fixed is "sh", not a list'),
+        ("ruleset.json", '{"sets": "ab"}', 'ruleset.json: sets is "ab", not a list'),
         (
             "ruleset.json",
             '{"sets": [["p", "b"], "abc"]}',
-            "ruleset.json: sets[1] must be a list, not the string 'abc'",
+            'ruleset.json: sets[1] is "abc", not a list',
         ),
         (
             "ruleset.json",
             '{"tables": [{"columns": "pb"}]}',
-            "ruleset.json: tables[0].columns must be a list, not the string 'pb'",
+            'ruleset.json: tables[0].columns is "pb", not a list',
         ),
         (
             "ruleset.json",
             '{"tables": [{"columns": [["p"], "b"]}]}',
-            "ruleset.json: tables[0].columns[1] must be a list, not the string 'b'",
+            'ruleset.json: tables[0].columns[1] is "b", not a list',
         ),
         (
             "ruleset.json",
             '{"free_tables": [{"columns": "pb"}]}',
-            "ruleset.json: free_tables[0].columns must be a list, not the string 'pb'",
+            'ruleset.json: free_tables[0].columns is "pb", not a list',
         ),
         (
             "ruleset.json",
             '{"free_tables": [{"columns": [["p"], "b"]}]}',
-            "ruleset.json: free_tables[0].columns[1] must be a list, not the string 'b'",
+            'ruleset.json: free_tables[0].columns[1] is "b", not a list',
         ),
         (
             "ruleset.json",
@@ -414,7 +414,13 @@ def test_group_variants_sorts_problem_then_p_then_question(dataset):
 
 
 def _drop_first_key(record):
-    return dataclasses.replace(record, subquestions=record.subquestions[1:])
+    (key, _), *subquestions = record.subquestions
+    return dataclasses.replace(
+        record,
+        subquestions=tuple(subquestions),
+        answers={k: v for k, v in record.answers.items() if k != key},
+        alternates={k: v for k, v in record.alternates.items() if k != key},
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 from lingobf import jsonio
 from lingobf.corpus import DatasetRecord
-from lingobf.metrics import ScoreTensor, score_run
+from lingobf.metrics import ProblemScores, ScoreTensor, score_run
 from lingobf.prompts import PromptInstance, build_prompts, write_prompts
-from lingobf.runner import ResponseRecord
+from lingobf.runner import EndpointConfig, ResponseRecord
 
 from .test_metrics import all_correct_responses
 
@@ -237,3 +238,201 @@ def test_a_line_or_document_decodes_as_json_loads_does(tmp_path, text):
         expected = _outcome(json.loads, "d.json", text + tail)
         got = _outcome(lambda t: jsonio.decode_json("d.json", t, dict), None, text + tail)
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# Typed records: every record type's JSON layout, stated here independently of
+# jsonio.codec, and the to_dict each type had before the codec derived it.
+
+_ID = st.text(max_size=6)
+_INT = st.integers(-(2**70), 2**70)
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _dataset_records(draw):
+    keys = draw(st.lists(_ID, min_size=1, max_size=3, unique=True))
+    return DatasetRecord(
+        *draw(st.tuples(_ID, _INT, _INT, _ID, _INT, _ID, _ID, _ID)),
+        subquestions=tuple((key, draw(_ID)) for key in keys),
+        answers={key: draw(_ID) for key in keys},
+        alternates=draw(st.dictionaries(
+            st.sampled_from(keys), st.lists(_ID, min_size=1, max_size=2).map(tuple)
+        )),
+    )
+
+
+_PROMPTS = st.builds(
+    PromptInstance, _ID, _ID, _ID, _INT, _INT, _ID, _ID,
+    st.lists(_ID, max_size=3).map(tuple), st.booleans(), st.none() | _ID,
+)
+_RESPONSES = st.builds(
+    ResponseRecord, _ID, st.sampled_from(["ok", "empty", "bad_parsing", "transport_error"]),
+    _ID, st.none() | st.dictionaries(_ID, _ID, max_size=3), _INT, _FLOAT | _INT, _ID,
+)
+
+
+@st.composite
+def _score_tensors(draw):
+    problems = []
+    for problem_id in draw(st.lists(_ID, min_size=1, max_size=3, unique=True)):
+        shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        variants = draw(st.integers(1, 3))
+        cell = st.sampled_from((0, 1))
+        scores = tuple(tuple(tuple(draw(cell) for _ in range(n)) for n in shape) for _ in range(variants))
+        answer_types = tuple(tuple(draw(_ID) for _ in range(n)) for n in shape)
+        problems.append(ProblemScores(
+            problem_id, draw(_ID), draw(st.integers(1, 2**40)), scores, answer_types
+        ))
+    return ScoreTensor(tuple(problems), draw(st.booleans()))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INT | _FLOAT | _ID,
+    lambda children: st.lists(children, max_size=2) | st.dictionaries(_ID, children, max_size=2),
+    max_leaves=5,
+)
+_ENDPOINTS = st.builds(
+    EndpointConfig,
+    name=_ID,
+    url=st.sampled_from(["http://x", "https://h:8080/v1/chat?q=1"]),
+    model=_ID,
+    api_key_env=st.none() | _ID,
+    headers=st.dictionaries(_ID, _JSON, max_size=2),
+    body=st.none() | st.dictionaries(_ID, _JSON, max_size=2),
+    response_path=_ID,
+    temperature=st.none() | _FLOAT,
+    max_output_tokens=st.none() | _INT,
+    timeout_s=st.floats(0, 1e6) | st.integers(0, 10**6),
+    max_retries=st.integers(0, 5),
+    retry_base_s=st.floats(0, 100),
+)
+
+
+def _prompt_dict(p):
+    return {
+        "prompt_id": p.prompt_id, "variant_id": p.variant_id, "problem_id": p.problem_id,
+        "p": p.p, "question_index": p.question_index, "system": p.system_message,
+        "user": p.user_message, "expected_keys": list(p.expected_keys),
+        "no_context": p.no_context, "guidance": p.guidance,
+    }
+
+
+def _dataset_dict(r):
+    return {
+        "schema_version": 1, "problem_id": r.problem_id, "p": r.p,
+        "question_index": r.question_index, "difficulty": r.difficulty, "speakers": r.speakers,
+        "preamble": r.preamble, "context": r.context, "body": r.body,
+        "subquestions": [{"key": k, "text": t} for k, t in r.subquestions],
+        "answers": r.answers,
+        "alternates": {k: list(v) for k, v in r.alternates.items() if v},
+    }
+
+
+def _tensor_dict(t):
+    return {
+        "schema_version": 1,
+        "case_sensitive": t.case_sensitive,
+        "problems": [
+            {
+                "problem_id": p.problem_id, "difficulty": p.difficulty, "speakers": p.speakers,
+                "scores": [[list(q) for q in perm] for perm in p.scores],
+                "answer_types": [list(q) for q in p.answer_types],
+            }
+            for p in t.problems
+        ],
+    }
+
+
+# A JSON layout: a Python type per leaf (float admits int), (T,) for a list of T,
+# {str: T} for an object of T, an object of named members, dict for any object,
+# and T | None.
+_N = type(None)
+_PROMPT_LAYOUT = {
+    "prompt_id": str, "variant_id": str, "problem_id": str, "p": int, "question_index": int,
+    "system": str, "user": str, "expected_keys": (str,), "no_context": bool, "guidance": str | None,
+}
+_DATASET_LAYOUT = {
+    "problem_id": str, "p": int, "question_index": int, "difficulty": str, "speakers": int,
+    "preamble": str, "context": str, "body": str,
+    "subquestions": ({"key": str, "text": str},), "answers": {str: str}, "alternates": {str: (str,)},
+}
+_RESPONSE_LAYOUT = {
+    "prompt_id": str, "status": str, "raw_text": str, "parsed": ({str: str}, _N),
+    "attempts": int, "latency_ms": float, "timestamp": str,
+}
+_TENSOR_LAYOUT = {
+    "case_sensitive": bool,
+    "problems": ({
+        "problem_id": str, "difficulty": str, "speakers": int, "scores": (((int,),),),
+        "answer_types": ((str,),),
+    },),
+}
+_ENDPOINT_LAYOUT = {
+    "name": str, "url": str, "model": str, "api_key_env": str | None, "headers": dict,
+    "body": (dict, _N), "response_path": str, "temperature": float | None,
+    "max_output_tokens": int | None, "timeout_s": float, "max_retries": int, "retry_base_s": float,
+}
+
+RECORDS = pytest.mark.parametrize(
+    "cls, records, layout, old_to_dict",
+    [
+        (DatasetRecord, _dataset_records(), _DATASET_LAYOUT, _dataset_dict),
+        (PromptInstance, _PROMPTS, _PROMPT_LAYOUT, _prompt_dict),
+        (ResponseRecord, _RESPONSES, _RESPONSE_LAYOUT, dataclasses.asdict),
+        (ScoreTensor, _score_tensors(), _TENSOR_LAYOUT, _tensor_dict),
+        (EndpointConfig, _ENDPOINTS, _ENDPOINT_LAYOUT, dataclasses.asdict),
+    ],
+    ids=["DatasetRecord", "PromptInstance", "ResponseRecord", "ScoreTensor", "EndpointConfig"],
+)
+
+
+def _leaves(value, layout, path="", keys=()):
+    """(path, keys to it, Python types the layout admits there) of every typed leaf."""
+    nullable = isinstance(layout, tuple) and layout[-1] is _N
+    if nullable:
+        layout = layout[0]
+        if value is None:
+            return
+    if isinstance(layout, dict) and set(layout) == {str}:
+        for key, item in value.items():
+            yield from _leaves(item, layout[str], f"{path}[{jsonio.dumps(key)}]", (*keys, key))
+    elif isinstance(layout, dict):
+        for key, item in layout.items():
+            yield from _leaves(value[key], item, f"{path}.{key}" if path else key, (*keys, key))
+    elif isinstance(layout, tuple):
+        for index, item in enumerate(value):
+            yield from _leaves(item, layout[0], f"{path}[{index}]", (*keys, index))
+    elif layout is not dict:  # the contents of an untyped object are not leaves
+        types = set(typing.get_args(layout)) or {layout}
+        yield path, keys, types | ({int} if float in types else set()) | ({_N} if nullable else set())
+
+
+def _replaced(value, keys, new):
+    """``value`` with the leaf that ``keys`` lead to replaced by ``new``."""
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[keys[0]] = _replaced(value[keys[0]], keys[1:], new) if keys[1:] else new
+    return copy
+
+
+@RECORDS
+@given(data=st.data())
+def test_a_leaf_of_another_json_type_is_refused_by_its_path(cls, records, layout, old_to_dict, data):
+    encoded = json.loads(jsonio.dumps(data.draw(records).to_dict()))
+    leaves = list(_leaves(encoded, layout))
+    if not leaves:
+        return
+    path, keys, types = data.draw(st.sampled_from(leaves))
+    new = data.draw(st.sampled_from([v for v in (7, 1.5, "7", True, None, [], {}) if type(v) not in types]))
+    with pytest.raises(ValueError) as exc:
+        cls.from_dict(_replaced(encoded, keys, new))
+    assert str(exc.value).startswith(f"{path} is {jsonio.dumps(new)}, not ")
+
+
+@RECORDS
+@given(data=st.data())
+def test_a_record_round_trips_in_the_bytes_it_had(cls, records, layout, old_to_dict, data):
+    record = data.draw(records)
+    text = jsonio.dumps(record.to_dict())
+    assert text == jsonio.dumps(old_to_dict(record))
+    assert cls.from_dict(json.loads(text)) == record

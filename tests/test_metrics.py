@@ -470,7 +470,10 @@ def test_a_score_cell_is_the_json_integer_0_or_1(cell):
     }
     with pytest.raises(ValueError) as exc:
         ScoreTensor.from_dict({"problems": [problem]})
-    assert str(exc.value) == f"problem x1: variant p=1 has a score of {json.dumps(cell)}, not 0 or 1"
+    if type(cell) is int:
+        assert str(exc.value) == f"problem x1: variant p=1 has a score of {cell}, not 0 or 1"
+    else:
+        assert str(exc.value) == f"problems[0].scores[1][0][1] is {json.dumps(cell)}, not an integer"
     problem["scores"][1][0][1] = 1
     tensor = ScoreTensor.from_dict({"problems": [problem]})
     assert tensor.problems[0].scores == (((1, 0),), ((0, 1),))

@@ -22,8 +22,6 @@ from lingobf.rulesets import (
     invert,
     load_ruleset,
     map_issues,
-    ruleset_from_dict,
-    ruleset_to_dict,
     sample_distinct,
     sample_permutation,
     validate_ruleset,
@@ -329,7 +327,7 @@ def test_map_issues_names_the_cell_of_a_broken_table():
 
 def test_ident_is_digest_of_serialized_form(somali):
     for rs in (somali, PLOSIVE_TABLE, NASAL_FREE_TABLE):
-        payload = json.dumps(ruleset_to_dict(rs), ensure_ascii=False, sort_keys=True)
+        payload = json.dumps(rs.to_dict(), ensure_ascii=False, sort_keys=True)
         assert rs.ident == hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -345,21 +343,21 @@ def test_ident_follows_content_under_replace():
 
 def test_json_round_trip(somali, stodsde):
     for rs in (somali, stodsde, NASAL_FREE_TABLE):
-        assert ruleset_from_dict(json.loads(json.dumps(ruleset_to_dict(rs)))) == rs
+        assert Ruleset.from_dict(json.loads(json.dumps(rs.to_dict()))) == rs
 
 
 def test_save_load_round_trip_keeps_tables_and_free_tables_apart(tmp_path):
     table = Table(columns=(("p", "b"), ("t", "d")))
     singletons = FreeTable(columns=((("m",), ("f",)), (("n",), ("s",))))
     rs = Ruleset(fixed=("x",), tables=(table,), free_tables=(singletons,))
-    jsonio.write_json(tmp_path / "mixed.json", ruleset_to_dict(rs))
+    jsonio.write_json(tmp_path / "mixed.json", rs.to_dict())
     again = load_ruleset(tmp_path / "mixed.json")
     assert again.tables == (table,) and again.free_tables == (singletons,)
     assert again == rs and again.ident == rs.ident
 
 
 def test_free_table_cells_accept_bare_strings():
-    rs = ruleset_from_dict(
+    rs = Ruleset.from_dict(
         {"free_tables": [{"columns": [["m", ["p", "b"]], ["n", ["t", "d"]]]}]}
     )
     assert rs.free_tables[0].columns[0] == (("m",), ("p", "b"))
@@ -367,7 +365,7 @@ def test_free_table_cells_accept_bare_strings():
 
 def test_nfc_normalization_on_ingest():
     decomposed = "é"  # e + combining acute
-    rs = ruleset_from_dict({"sets": [[decomposed, "a"]]})
+    rs = Ruleset.from_dict({"sets": [[decomposed, "a"]]})
     assert rs.sets[0][0] == "é"
 
 

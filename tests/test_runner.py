@@ -186,7 +186,7 @@ def test_custom_body_and_headers(monkeypatch):
 def test_endpoint_config_names_the_file_and_an_unknown_key(tmp_path):
     path = tmp_path / "endpoint.json"
     path.write_text(json.dumps({"name": "e", "url": "http://x", "temprature": 0.5}))
-    with pytest.raises(ValueError, match=r"endpoint\.json: .* keyword argument 'temprature'"):
+    with pytest.raises(ValueError, match=r"endpoint\.json: record has unknown field 'temprature'"):
         EndpointConfig.from_file(path)
 
 
@@ -508,8 +508,8 @@ def test_read_records_rejects_bad_lines_mid_file(tmp_path):
 @pytest.mark.parametrize(
     "parsed, detail",
     [
-        (["a"], "parsed is a JSON list, not null or an object"),
-        ("a", "parsed is a JSON str, not null or an object"),
+        (["a"], 'parsed is ["a"], not an object or null'),
+        ("a", 'parsed is "a", not an object or null'),
         ({"1": 5}, 'parsed["1"] is 5, not a string'),
         ({"1": "a", "2": None}, 'parsed["2"] is null, not a string'),
         ({"1": ["a"]}, 'parsed["1"] is ["a"], not a string'),
@@ -530,6 +530,30 @@ def test_read_records_refuses_a_parsed_that_is_not_null_or_an_object_of_strings(
     for kept in (None, {}, {"1": "a", "2": ""}):
         path.write_text(f"{first}\n{json.dumps({**record, 'parsed': kept})}\n", encoding="utf-8")
         assert read_records(tmp_path / "run")[record["prompt_id"]].parsed == kept
+
+
+@pytest.mark.parametrize(
+    "field, value, detail",
+    [
+        ("prompt_id", 5, "prompt_id is 5, not a string"),
+        ("status", "weird", 'status is "weird", not one of "ok", "empty", "bad_parsing", '
+         '"transport_error"'),
+        ("raw_text", None, "raw_text is null, not a string"),
+        ("attempts", "1", 'attempts is "1", not an integer'),
+        ("latency_ms", "x", 'latency_ms is "x", not a number'),
+        ("timestamp", 3, "timestamp is 3, not a string"),
+    ],
+)
+def test_read_records_refuses_a_mistyped_field_by_file_line_and_field(
+    tmp_path, field, value, detail
+):
+    run([make_prompt(0), make_prompt(1)], ENDPOINT, tmp_path / "run", transport=ok_transport)
+    path = tmp_path / "run" / "records.jsonl"
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{first}\n{json.dumps({**json.loads(second), field: value})}\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_records(tmp_path / "run")
+    assert str(exc.value) == f"{path}: line 2: {detail}"
 
 
 def test_bad_records_line_fails_before_the_run_directory_is_written(tmp_path):
