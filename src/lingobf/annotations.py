@@ -12,14 +12,15 @@ a span, the next identical triple closes it.  A different marker kind
 inside an open span, or an opener with no closer, is a parse error
 carrying the byte offset.  Spans never nest.
 
-Segments store their *source* text verbatim, so serialization is exact
-concatenation and round trips byte-for-byte.  Corpora whose plain text
-legitimately contains a marker triple must escape it as ``\\$$$`` /
-``\\&&&`` / ``\\@@@``; the backslash survives in the stored segment text
-and is dropped only on render.  A backslash directly before a triple
-always escapes it (``_TOKEN`` is the one statement of that rule).
-Normalization is an ingest concern (loaders NFC-normalize file content
-before parsing), not a parser one.
+Segments store their *source* text verbatim, so parsing is lossless: the
+segments' texts, each wrapped in its kind's marker, concatenate to the
+source byte-for-byte.  Corpora whose plain text legitimately contains a
+marker triple must escape it as ``\\$$$`` / ``\\&&&`` / ``\\@@@``; the
+backslash survives in the stored segment text and is dropped only on
+render.  A backslash directly before a triple always escapes it
+(``_TOKEN`` is the one statement of that rule).  Normalization is an
+ingest concern (loaders NFC-normalize file content before parsing), not a
+parser one.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ def unescape(text: str) -> str:
     return _TOKEN.sub(lambda m: m[1] or m[2], text)
 
 
-def escape_markers(text: str) -> str:
-    """Escape every bare marker triple so the text survives a parse."""
-    return _TOKEN.sub(lambda m: _ESCAPE + (m[1] or m[2]), text)
-
-
 def parse(text: str) -> AnnotatedDocument:
     segments: list[Segment] = []
     open_marker: str | None = None
@@ -126,30 +122,6 @@ def parse(text: str) -> AnnotatedDocument:
     if start < len(text):
         segments.append(PlainText(text[start:]))
     return AnnotatedDocument(segments=tuple(segments))
-
-
-_CLOSERS = {NameTag: "$$$", RemovedContext: "&&&", ProblemeseSpan: "@@@"}
-
-
-def serialize(doc: AnnotatedDocument) -> str:
-    """Exact inverse of parse: markers re-wrapped around verbatim source text.
-
-    A document that ``parse`` would not return from that text is refused
-    with ``ValueError``: adjacent or empty ``PlainText`` segments, or a
-    joint between segments that forms a marker triple or an escape.
-    """
-    out = []
-    for seg in doc.segments:
-        marker = _CLOSERS.get(type(seg), "")
-        out.append(f"{marker}{seg.text}{marker}")
-    text = "".join(out)
-    try:
-        reparsed = parse(text)
-    except MarkerError as exc:
-        raise ValueError(f"document does not reparse from {text!r}: {exc}") from None
-    if reparsed != doc:
-        raise ValueError(f"document reparses from {text!r} as a different document")
-    return text
 
 
 def render(doc: AnnotatedDocument) -> str:

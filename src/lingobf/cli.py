@@ -121,7 +121,12 @@ def _cmd_run(args) -> int:
 def _cmd_score(args) -> int:
     records = corpus.load_dataset(args.dataset)
     responses = runner.read_records(args.run)
-    tensor, missing = metrics.score_run(responses, records, case_sensitive=args.case_aware)
+    try:
+        tensor, missing = metrics.score_run(responses, records, case_sensitive=args.case_aware)
+    except ValueError as exc:
+        if records:
+            raise
+        raise ValueError(f"{args.dataset}: {exc}") from None  # the dataset has no records
     jsonio.write_json(args.out, tensor.to_dict())
     for prompt_id in missing:
         _diag(missing_prompt=prompt_id)

@@ -180,11 +180,11 @@ def _load_problem(path: Path, fold_case: bool) -> Problem:
     meta = read(META_FILE, dict)
     difficulty = meta.get("difficulty")
     if difficulty not in DIFFICULTIES:
-        raise ValueError(f"unknown difficulty {difficulty!r}; expected one of {DIFFICULTIES}")
+        raise ValueError(f"{META_FILE}: difficulty {difficulty!r} is not one of {DIFFICULTIES}")
     lang = meta.get("language", {})
     speakers = lang.get("speakers") if isinstance(lang, dict) else None
-    if not isinstance(speakers, int) or speakers <= 0:
-        raise ValueError("language.speakers must be a positive integer")
+    if type(speakers) is not int or speakers <= 0:  # a bool is an int, yet true is no count
+        raise ValueError(f"{META_FILE}: language.speakers must be a positive integer")
 
     ruleset = read(RULESET_FILE, Ruleset.from_dict)
     raw_answers = read(ANSWERS_FILE, list, list)

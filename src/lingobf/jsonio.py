@@ -158,11 +158,24 @@ _Slot = namedtuple("_Slot", "name key node default decode encode")
 
 
 def _node(tp, nullable: bool = False) -> tuple:
-    """``tp`` as (kind, argument, nullable); kind is Any, a scalar, tuple, dict or a ``_Plan``."""
+    """``tp`` as (kind, argument, nullable); kind is a scalar, tuple, dict, a ``_Plan`` or Union.
+
+    A Union's argument is its two nodes, of two JSON kinds, ordered scalar,
+    list, object: an encoder tells a value of the first by its Python type.
+    """
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        return _node(args[args[0] is type(None)], True)
-    if tp in _SCALARS or tp is dict or tp is Any:
+    if origin in (typing.Union, types.UnionType):
+        if len(args) == 2 and type(None) in args:
+            return _node(args[args[0] is type(None)], True)
+        either = sorted(
+            (_node(arg) for arg in args if arg is not type(None)),
+            key=lambda node: (node[0] not in _SCALARS, node[0] is not tuple),
+        )
+        kinds = [set(_EXACT.get(node[0], [dict])) for node in either]
+        if len(kinds) == len(args) == 2 and not kinds[0] & kinds[1]:
+            return (typing.Union, tuple(either), nullable)
+        raise TypeError(f"no JSON layout for {tp!r}: not two JSON kinds, nor one and None")
+    if tp in _SCALARS or tp is dict:
         return (tp, None, nullable)
     if origin is tuple and args[1:] == (...,) or origin is dict and args[0] is str:
         return (origin, _node(args[-2 if origin is tuple else 1]), nullable)
@@ -214,16 +227,27 @@ class _Code:
     def decode(self, node: tuple, src: str, depth: int, path: str) -> str:
         """Lines that check ``src``, the JSON value at ``path``; return its decoding."""
         kind, arg, nullable = node
-        if kind is Any:
-            return src
         if nullable:
             self.add(depth, f"if {src} is not None:")
             depth += 1
-        test = " and ".join(f"type({src}) is not {t.__name__}" for t in _EXACT.get(kind, [dict]))
-        expected = _SCALARS.get(kind) or ("a list" if kind is tuple else "an object")
+        kinds = [k for k, _, _ in arg] if kind is typing.Union else [kind]
+        test = " and ".join(
+            f"type({src}) is not {t.__name__}" for k in kinds for t in _EXACT.get(k, [dict])
+        )
+        expected = " or ".join(
+            _SCALARS.get(k) or ("a list" if k is tuple else "an object") for k in kinds
+        )
         shown = f"{path or 'record'} is {{dumps({src})}}, not {expected}{' or null' * nullable}"
         self.add(depth, f"if {test}: raise ValueError(f'{shown}')")
-        if isinstance(kind, _Plan):
+        if kind is typing.Union:
+            value = self.name()
+            first = " or ".join(f"type({src}) is {t.__name__}" for t in _EXACT[kinds[0]])
+            for head, each in ((f"if {first}:", arg[0]), ("else:", arg[1])):
+                self.add(depth, head)
+                start = len(self.lines)
+                self.add(depth + 1, f"{value} = {self.decode(each, src, depth + 1, path)}")
+                del self.lines[start]  # its type check: the test above has passed
+        elif isinstance(kind, _Plan):
             value = self.record(kind, src, depth, f"{path}." if path else "")
         elif arg is None:
             value = src
@@ -282,6 +306,11 @@ class _Code:
                 value = f"{self.name(slot.encode)}({field})" if slot.encode else None
                 items.append(f"{slot.key!r}: {value or self.encode(slot.node, field)}")
             value = "{" + ", ".join(items) + "}"
+        elif kind is typing.Union:
+            first, second = (self.encode(each, src) for each in arg)
+            kinds = _EXACT[arg[0][0]] + [tuple] * (arg[0][0] is tuple)  # a decoded list is a tuple
+            test = " or ".join(f"type({src}) is {t.__name__}" for t in kinds)
+            value = f"({first} if {test} else {second})"
         elif arg is None:
             return src
         else:
@@ -304,9 +333,10 @@ def codec(cls: type[_T], *, closed: bool = False, **overrides) -> type[_T]:
     """Give the dataclass ``cls`` a ``from_dict`` and a ``to_dict`` built from its annotations.
 
     Each field is a JSON member of its name and annotation: ``str``, ``int``,
-    ``bool``, ``float`` (an int too), ``X | None``, ``tuple[T, ...]``,
-    ``dict``, ``dict[str, T]``, ``Any``, or a TypedDict or dataclass (whose
-    own codec, if any, comes first); it may be absent if it has a default.
+    ``bool``, ``float`` (an int too), ``X | None``, ``X | Y`` of two JSON
+    kinds (``str | tuple[str, ...]``, say), ``tuple[T, ...]``, ``dict``,
+    ``dict[str, T]``, or a TypedDict or dataclass (whose own codec, if any,
+    comes first); it may be absent if it has a default.
     A keyword gives a field's :class:`Member`, or else a constant member
     that ``from_dict`` ignores, as it does any other unless ``closed``.
     ``from_dict`` raises ``KeyError`` with the JSON path of a record's first

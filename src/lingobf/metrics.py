@@ -137,20 +137,16 @@ class ScoreTensor:
     case_sensitive: bool = True
 
     def __post_init__(self) -> None:
+        """Refuse a tensor of no problems, or of one problem id twice."""
+        if not self.problems:
+            raise ValueError("score tensor has no problems")
         ids = [problem.problem_id for problem in self.problems]
         if len(set(ids)) < len(ids):
             repeated = next(i for n, i in enumerate(ids) if i in ids[:n])
             raise ValueError(f"problem {repeated} appears more than once")
 
 
-def _some_problems(problems: tuple[ProblemScores, ...]) -> tuple[ProblemScores, ...]:
-    if not problems:
-        raise ValueError("score tensor has no problems")
-    return problems
-
-
-# A scores file holds at least one problem; score_run may build a tensor of none.
-jsonio.codec(ScoreTensor, schema_version=1, problems=jsonio.Member(decode=_some_problems))
+jsonio.codec(ScoreTensor, schema_version=1)
 
 
 class UnknownPromptError(ValueError):
@@ -176,7 +172,8 @@ def score_run(
     keys all score 0; extra keys in a parsed response are ignored.
     Responses whose prompt_id is not in the dataset raise
     UnknownPromptError; a dataset ``corpus.group_variants`` refuses raises
-    its ``ValueError``.
+    its ``ValueError``, and so does one of no records, since a
+    ``ScoreTensor`` holds at least one problem.
     """
     variants = group_variants(records)
     prompt_ids = [[r.prompt_id for r in v.questions] for v in variants]
@@ -305,8 +302,6 @@ def aggregate(tensor: ScoreTensor, *, include_original_in_min: bool = True) -> M
     per-question minimum ranges over p = 0 as well as the sampled
     permutations (default) or the sampled permutations only.
     """
-    if not tensor.problems:
-        raise ValueError("empty score tensor")
     per_problem = tuple(
         _problem_metrics(p, include_original_in_min=include_original_in_min)
         for p in tensor.problems

@@ -37,7 +37,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import jsonio
 from .rng import derive_seed, stream
@@ -413,7 +413,7 @@ jsonio.codec(Table, columns=jsonio.Member(decode=lambda columns: tuple(map(_grap
 jsonio.codec(
     FreeTable,
     columns=jsonio.Member(
-        json_type=tuple[tuple[Any, ...], ...],
+        json_type=tuple[tuple[str | tuple[str, ...], ...], ...],
         decode=lambda columns: tuple(
             tuple(_graphemes([c] if isinstance(c, str) else c) for c in cs) for cs in columns
         ),

@@ -12,8 +12,9 @@ The regression is closed-form OLS of per-problem obfuscation deltas on
 log10 speaker counts, fit separately per group (difficulty level, model
 family, ...).  Slope, intercept, R^2, classical standard error and the
 t-statistic are reported; p-values are deliberately not computed (no
-distribution-function dependency) -- compare the t-statistic against the
-Bonferroni-adjusted threshold instead.
+distribution-function dependency).  To test ``tests`` groups at level
+``alpha``, compare each t-statistic against the critical value for the
+Bonferroni threshold ``alpha / tests``.
 """
 
 from __future__ import annotations
@@ -175,10 +176,3 @@ def regression_csv(fits: Mapping[str, RegressionResult]) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def bonferroni(alpha: float, tests: int) -> float:
-    """Multiple-testing significance threshold: alpha / tests."""
-    if tests < 1:
-        raise ValueError("tests must be >= 1")
-    return alpha / tests

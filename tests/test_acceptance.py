@@ -31,6 +31,7 @@ from lingobf.rulesets import (
 from lingobf.runner import read_records, run as run_prompts, summarize_errors, EndpointConfig
 from lingobf.stats import bootstrap, ols_fit
 
+from .test_annotations import source
 from .test_metrics import brute_force_report, random_tensor
 from .test_stats import ENUMERABLE
 
@@ -122,15 +123,19 @@ def test_05_annotation_grammar(corpus_dir):
         "tinaktakawda ida",
     ]
     with criterion(5, "annotation grammar", 1.0):
-        for text in extracts:
-            assert annotations.serialize(annotations.parse(text)) == text
+        texts = list(extracts)
         for path in sorted(corpus_dir.glob("*/problem.txt")):
-            text = path.read_text(encoding="utf-8")
-            assert annotations.serialize(annotations.parse(text)) == text
+            texts.append(path.read_text(encoding="utf-8"))
         for path in sorted(corpus_dir.glob("*/answers.json")):
             for per_question in json.loads(path.read_text(encoding="utf-8")):
-                for answer in per_question.values():
-                    assert annotations.serialize(annotations.parse(answer)) == answer
+                for entry in per_question.values():
+                    # An entry is an answer, or an answer with its alternates.
+                    if isinstance(entry, str):
+                        texts.append(entry)
+                    else:
+                        texts += [entry["answer"], *entry.get("alternates", ())]
+        for text in texts:
+            assert source(annotations.parse(text)) == text  # parsing is lossless
         with pytest.raises(annotations.MarkerError) as unbalanced:
             annotations.parse("@@@abc")
         assert unbalanced.value.byte_offset == 0

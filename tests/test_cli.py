@@ -366,6 +366,34 @@ def test_prompt_and_score_do_not_read_the_dataset_manifest(capsys, corpus_dir, t
         assert code == 0 and "manifest" not in err
 
 
+def test_score_refuses_a_dataset_of_no_records(capsys, corpus_dir, tmp_path):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    (ds / "records.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "run").mkdir()
+    argv = ("score", "--run", str(tmp_path / "run"), "--dataset", str(ds), "--out", str(tmp_path / "s"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "detail": f"{ds}: score tensor has no problems"}
+    assert not (tmp_path / "s").exists()
+
+
+def test_generate_refuses_a_speaker_count_of_true(capsys, corpus_dir, tmp_path):
+    shutil.copytree(corpus_dir, tmp_path / "corpus")
+    meta = tmp_path / "corpus" / "birds-x" / "meta.json"
+    data = json.loads(meta.read_text(encoding="utf-8"))
+    data["language"]["speakers"] = True
+    meta.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", str(tmp_path / "corpus"), "--out", str(tmp_path / "ds"), "--seed", "7"])
+    assert exc.value.code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "errors": ["meta.json: language.speakers must be a positive integer"],
+        "problem": "birds-x",
+    }
+    assert not (tmp_path / "ds").exists()
+
+
 @pytest.mark.parametrize(
     "content, detail",
     [("[]", "record is a JSON list, not an object"), ("{oops", "Expecting property name")],

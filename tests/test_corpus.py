@@ -76,7 +76,12 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         (
             "meta.json",
             '{"difficulty": "Foundation", "language": 5}',
-            "language.speakers must be a positive integer",
+            "meta.json: language.speakers must be a positive integer",
+        ),
+        (
+            "meta.json",
+            '{"difficulty": "Foundation", "language": {"speakers": true}}',
+            "meta.json: language.speakers must be a positive integer",
         ),
         ("answers.json", '[{"1": 5, "2": "x"}]', "answers.json: question 0 key '1': expected"),
         (
@@ -124,6 +129,16 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         ),
         (
             "ruleset.json",
+            '{"free_tables": [{"columns": [["p", 5], ["b", "d"]]}]}',
+            "ruleset.json: free_tables[0].columns[0][1] is 5, not a string or a list",
+        ),
+        (
+            "ruleset.json",
+            '{"free_tables": [{"columns": [["p", [5]], ["b", "d"]]}]}',
+            "ruleset.json: free_tables[0].columns[0][1][0] is 5, not a string",
+        ),
+        (
+            "ruleset.json",
             '{"sets": [["p", "b"], ["q"], ["a", "@"]]}',
             "ruleset.json: set[1]: set of size 1 cannot be deranged; "
             "set[2]: grapheme '@' contains an annotation marker character",
@@ -132,6 +147,7 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
     ids=[
         "meta-list",
         "language-number",
+        "speakers-true",
         "answer-number",
         "alternates-number",
         "question-list",
@@ -148,6 +164,8 @@ def test_bad_difficulty_is_a_load_failure(tmp_path, corpus_dir):
         "table-column-string",
         "free-table-columns-string",
         "free-table-column-string",
+        "free-table-cell-number",
+        "free-table-cell-list-of-number",
         "invalid-ruleset",
     ],
 )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 import tempfile
@@ -16,6 +17,7 @@ from lingobf import jsonio
 from lingobf.corpus import DatasetRecord
 from lingobf.metrics import ProblemScores, ScoreTensor, score_run
 from lingobf.prompts import PromptInstance, build_prompts, write_prompts
+from lingobf.rulesets import FreeTable, Ruleset, Table
 from lingobf.runner import EndpointConfig, ResponseRecord
 
 from .test_metrics import all_correct_responses
@@ -308,6 +310,35 @@ _ENDPOINTS = st.builds(
     retry_base_s=st.floats(0, 100),
 )
 
+# NFC graphemes, each made unique by a numbered suffix.
+_GRAPHEME = st.text(alphabet="aeéŋʰ'", min_size=1, max_size=2)
+
+
+@st.composite
+def _rulesets(draw):
+    number = itertools.count()
+
+    def graphemes(n):
+        return tuple(f"{draw(_GRAPHEME)}{next(number)}" for _ in range(n))
+
+    def some(make):
+        return tuple(make() for _ in range(draw(st.integers(0, 2))))
+
+    def table():
+        height = draw(st.integers(1, 3))
+        return Table(tuple(graphemes(height) for _ in range(draw(st.integers(2, 3)))))
+
+    def free_table():
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))  # a cell size per row
+        return FreeTable(tuple(tuple(map(graphemes, sizes)) for _ in range(draw(st.integers(2, 3)))))
+
+    return Ruleset(
+        fixed=graphemes(draw(st.integers(0, 2))),
+        sets=some(lambda: graphemes(draw(st.integers(2, 3)))),
+        tables=some(table),
+        free_tables=some(free_table),
+    )
+
 
 def _prompt_dict(p):
     return {
@@ -329,6 +360,17 @@ def _dataset_dict(r):
     }
 
 
+def _ruleset_dict(r):
+    return {
+        "schema_version": 1, "fixed": list(r.fixed), "sets": [list(s) for s in r.sets],
+        "tables": [{"columns": [list(col) for col in t.columns]} for t in r.tables],
+        "free_tables": [
+            {"columns": [[c[0] if len(c) == 1 else list(c) for c in col] for col in t.columns]}
+            for t in r.free_tables
+        ],
+    }
+
+
 def _tensor_dict(t):
     return {
         "schema_version": 1,
@@ -346,7 +388,7 @@ def _tensor_dict(t):
 
 # A JSON layout: a Python type per leaf (float admits int), (T,) for a list of T,
 # {str: T} for an object of T, an object of named members, dict for any object,
-# and T | None.
+# T | None, and [T, (T,)] for a T or a list of T.
 _N = type(None)
 _PROMPT_LAYOUT = {
     "prompt_id": str, "variant_id": str, "problem_id": str, "p": int, "question_index": int,
@@ -368,6 +410,10 @@ _TENSOR_LAYOUT = {
         "answer_types": ((str,),),
     },),
 }
+_RULESET_LAYOUT = {
+    "fixed": (str,), "sets": ((str,),), "tables": ({"columns": ((str,),)},),
+    "free_tables": ({"columns": (([str, (str,)],),)},),  # a cell of one grapheme is a string
+}
 _ENDPOINT_LAYOUT = {
     "name": str, "url": str, "model": str, "api_key_env": str | None, "headers": dict,
     "body": (dict, _N), "response_path": str, "temperature": float | None,
@@ -382,8 +428,12 @@ RECORDS = pytest.mark.parametrize(
         (ResponseRecord, _RESPONSES, _RESPONSE_LAYOUT, dataclasses.asdict),
         (ScoreTensor, _score_tensors(), _TENSOR_LAYOUT, _tensor_dict),
         (EndpointConfig, _ENDPOINTS, _ENDPOINT_LAYOUT, dataclasses.asdict),
+        (Ruleset, _rulesets(), _RULESET_LAYOUT, _ruleset_dict),
     ],
-    ids=["DatasetRecord", "PromptInstance", "ResponseRecord", "ScoreTensor", "EndpointConfig"],
+    ids=[
+        "DatasetRecord", "PromptInstance", "ResponseRecord", "ScoreTensor", "EndpointConfig",
+        "Ruleset",
+    ],
 )
 
 
@@ -403,6 +453,10 @@ def _leaves(value, layout, path="", keys=()):
     elif isinstance(layout, tuple):
         for index, item in enumerate(value):
             yield from _leaves(item, layout[0], f"{path}[{index}]", (*keys, index))
+    elif isinstance(layout, list):  # the value is a leaf, and so is each item of a list
+        yield path, keys, {layout[0], list}
+        if isinstance(value, list):
+            yield from _leaves(value, layout[1], path, keys)
     elif layout is not dict:  # the contents of an untyped object are not leaves
         types = set(typing.get_args(layout)) or {layout}
         yield path, keys, types | ({int} if float in types else set()) | ({_N} if nullable else set())

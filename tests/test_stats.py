@@ -11,7 +11,6 @@ from lingobf.metrics import ProblemScores, ScoreTensor
 from lingobf.rng import stream
 from lingobf.stats import (
     DegenerateDataError,
-    bonferroni,
     bootstrap,
     fit_groups,
     histogram_csv,
@@ -188,21 +187,6 @@ def test_fit_groups_splits_and_reports_degenerates():
     csv_text = regression_csv(fits)
     assert csv_text.splitlines()[0] == "label,n,slope,intercept,r_squared,stderr,t_stat"
     assert "Advanced" in csv_text
-
-
-# ---------------------------------------------------------------------------
-# Bonferroni
-
-
-def test_bonferroni_values():
-    assert bonferroni(0.05, 10) == 0.005
-    assert bonferroni(0.05, 1) == 0.05
-    assert bonferroni(0.01, 4) == 0.0025
-
-
-def test_bonferroni_rejects_zero_tests():
-    with pytest.raises(ValueError):
-        bonferroni(0.05, 0)
 
 
 @st.composite
