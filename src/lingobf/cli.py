@@ -5,6 +5,10 @@ hidden entropy anywhere, so artifacts are reproducible byte-for-byte.
 Reports and data go to stdout or ``--out``; diagnostics are
 machine-readable JSON on stderr.  Exit codes: 0 success, 1 data or file
 error (a diagnostic naming the file), 2 usage error.
+
+The run and scoring modules (``runner``, ``metrics``, ``stats`` and, through
+them, ``transport``) are imported inside the subcommands that use them, so
+``generate`` and ``prompt`` never load them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import __version__, annotations, corpus, jsonio, metrics, prompts, runner, stats
+from . import __version__, annotations, corpus, jsonio, prompts
 
 
 def _diag(**payload) -> None:
@@ -52,6 +56,8 @@ def _load_corpus_or_fail(path: str, *, fold_case: bool = True) -> corpus.Corpus:
 
 
 def _cmd_validate(args) -> int:
+    from . import metrics
+
     loaded, report = _load_corpus(args.corpus)
     subs = [
         (problem, sub) for problem in loaded for q in problem.questions for sub in q.subquestions
@@ -103,12 +109,19 @@ def _cmd_prompt(args) -> int:
         no_context=args.no_context,
         guidance=guidance,
     )
-    count = prompts.write_prompts(built, args.out)
+    try:
+        count = prompts.write_prompts(built, args.out)
+    except ValueError as exc:
+        if records:
+            raise
+        raise ValueError(f"{args.dataset}: {exc}") from None  # the dataset has no records
     print(jsonio.dumps({"prompts": count, "out": args.out}))
     return 0
 
 
 def _cmd_run(args) -> int:
+    from . import runner
+
     prompt_list = prompts.load_prompts(args.prompts)
     endpoint = runner.EndpointConfig.from_file(args.endpoint)
     summary = runner.run(
@@ -119,6 +132,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    from . import metrics, runner
+
     records = corpus.load_dataset(args.dataset)
     responses = runner.read_records(args.run)
     try:
@@ -135,6 +150,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    from . import metrics, stats
+
     tensor = jsonio.read_json(args.scores, metrics.ScoreTensor.from_dict)
     result = stats.bootstrap(tensor, sets=args.sets, seed=args.seed)
     _emit(stats.histogram_csv(result, bins=args.bins), args.out)
@@ -143,6 +160,8 @@ def _cmd_bootstrap(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import metrics, runner, stats
+
     # Read every input, then build every text, and only then write, so a bad
     # input leaves no partial report behind.  A path given twice (as --scores
     # and as a --compare, say) is read and aggregated once.

@@ -23,6 +23,11 @@ the resourcedness regression).  Datasets are line-delimited records, one
 question of one variant per line, plus a manifest carrying the generation
 parameters and per-variant content digests, so identical inputs reproduce
 identical bytes.
+
+Memory: ``generate`` holds the loaded corpus plus one problem's rendered
+variants, since a ``Dataset`` renders a problem only when it is written;
+``load_dataset`` keeps each variant's preamble and context once, however
+many question records repeat them.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ import hashlib
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, TypedDict
+from typing import Iterable, Iterator, Sequence, TypedDict
 
 from . import annotations, jsonio
 from .obfuscate import CompiledTexts
@@ -420,69 +426,82 @@ def variant_maps(problem: Problem, per_problem: int, seed: int) -> list[Permutat
     return [identity, *sampled]
 
 
+def _render_problem(problem: Problem, maps: Sequence[PermutationMap]) -> Iterator[DatasetRecord]:
+    """The records of ``problem`` rendered under each of ``maps`` (p = 0 first), in p then j order."""
+    for p, pmap in enumerate(maps):
+        rendered = problem.compiled.render(pmap)
+        for j, q in enumerate(problem.questions):
+            golds = {
+                sub.key: [rendered[name] for name in _answer_names(j, sub)]
+                for sub in q.subquestions
+            }
+            yield DatasetRecord(
+                problem_id=problem.id,
+                p=p,
+                question_index=j,
+                difficulty=problem.difficulty,
+                speakers=problem.speakers,
+                preamble=rendered["preamble"],
+                context=rendered["context"],
+                body=rendered[f"q{j}.body"],
+                subquestions=tuple((key, rendered[f"q{j}.sub.{key}"]) for key in golds),
+                answers={key: texts[0] for key, texts in golds.items()},
+                alternates={key: tuple(texts[1:]) for key, texts in golds.items() if texts[1:]},
+            )
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Rendered records plus the facts they were generated from.
+    """A corpus's problems and sampled maps; its records are rendered only when iterated.
 
-    ``maps`` holds the sampled map of every obfuscated variant (p >= 1) by
-    variant id, exactly as the build drew and rendered it.  Iterates and
-    sizes like its records.
+    ``problems`` is in problem-id order, and ``variant_maps`` holds each
+    problem's maps, identity first, exactly as the build drew them.
+    Iterating renders one problem's records at a time, in the order
+    ``write_dataset`` writes them, so what a pass holds is the corpus plus
+    one problem's variants, never the whole rendered dataset.  Sizes like
+    its records.
     """
 
-    records: tuple[DatasetRecord, ...]
-    maps: Mapping[str, PermutationMap]
+    problems: tuple[Problem, ...]
+    variant_maps: tuple[tuple[PermutationMap, ...], ...]
     seed: int
     per_problem: int
     fold_case: bool
 
-    def __iter__(self):
-        return iter(self.records)
+    @property
+    def maps(self) -> dict[str, PermutationMap]:
+        """The sampled map of every obfuscated variant (p >= 1), by variant id."""
+        return {
+            f"{problem.id}:p{p}": pmap
+            for problem, maps in zip(self.problems, self.variant_maps)
+            for p, pmap in enumerate(maps)
+            if p
+        }
 
-    def __len__(self):
-        return len(self.records)
+    def __iter__(self) -> Iterator[DatasetRecord]:
+        for problem, maps in zip(self.problems, self.variant_maps):
+            yield from _render_problem(problem, maps)
+
+    def __len__(self) -> int:
+        return sum(
+            len(maps) * len(problem.questions)
+            for problem, maps in zip(self.problems, self.variant_maps)
+        )
 
 
 def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Dataset:
-    """Render variant p=0 plus sampled variants for every problem.
+    """Variant p=0 plus sampled variants for every problem, to be rendered when iterated.
 
-    Deterministic in (corpus, per_problem, seed); renders each problem's
-    ``compiled`` texts.  A problem whose ruleset admits fewer than
-    ``per_problem`` distinct permutations simply yields fewer variants.
+    Deterministic in (corpus, per_problem, seed).  Draws every problem's
+    maps now (they are small, and the manifest lists them) but renders
+    nothing: iterating the dataset, or ``write_dataset``, renders each
+    problem's ``compiled`` texts.  A problem whose ruleset admits fewer
+    than ``per_problem`` distinct permutations simply yields fewer variants.
     """
-    records: list[DatasetRecord] = []
-    maps: dict[str, PermutationMap] = {}
-    for problem in corpus.problems:
-        for p, pmap in enumerate(variant_maps(problem, per_problem, seed)):
-            if p > 0:
-                maps[f"{problem.id}:p{p}"] = pmap
-            rendered = problem.compiled.render(pmap)
-            for j, q in enumerate(problem.questions):
-                golds = {
-                    sub.key: [rendered[name] for name in _answer_names(j, sub)]
-                    for sub in q.subquestions
-                }
-                records.append(
-                    DatasetRecord(
-                        problem_id=problem.id,
-                        p=p,
-                        question_index=j,
-                        difficulty=problem.difficulty,
-                        speakers=problem.speakers,
-                        preamble=rendered["preamble"],
-                        context=rendered["context"],
-                        body=rendered[f"q{j}.body"],
-                        subquestions=tuple(
-                            (key, rendered[f"q{j}.sub.{key}"]) for key in golds
-                        ),
-                        answers={key: texts[0] for key, texts in golds.items()},
-                        alternates={
-                            key: tuple(texts[1:]) for key, texts in golds.items() if texts[1:]
-                        },
-                    )
-                )
+    problems = tuple(sorted(corpus.problems, key=attrgetter("id")))
     return Dataset(
-        records=tuple(records),
-        maps=maps,
+        problems=problems,
+        variant_maps=tuple(tuple(variant_maps(p, per_problem, seed)) for p in problems),
         seed=seed,
         per_problem=per_problem,
         fold_case=corpus.fold_case,
@@ -492,9 +511,12 @@ def build_dataset(corpus: Corpus, per_problem: int = 6, seed: int = 0) -> Datase
 def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     """Persist records.jsonl + manifest.json; returns the manifest.
 
-    Records are written as ``group_variants`` orders them, a variant's
-    block at a time, so a dataset that ``prompt`` and ``score`` would
-    refuse is never written.  The manifest carries toolkit version, the
+    One problem at a time, its records are rendered, checked by
+    ``group_variants``, written a variant's block at a time in the order
+    it gives, and digested, so the pass holds one problem's variants and
+    a dataset that ``prompt`` and ``score`` would refuse is never written:
+    a problem id that occurs twice is refused as ``group_variants`` refuses
+    their records together.  The manifest carries toolkit version, the
     generation parameters and sampled maps the dataset was built with, and
     a content digest per variant.
     """
@@ -503,13 +525,20 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records = dataset.records
     digests = {}
+    problems = records = pairs = 0
     with jsonio.atomic_writer(out_dir / "records.jsonl") as fh:
-        for variant in group_variants(records):
-            block = jsonio.encode_lines(r.to_dict() for r in variant.questions)
-            fh.write(block)
-            digests[variant.variant_id] = hashlib.sha256(block.encode("utf-8")).hexdigest()
+        for _, group in groupby(zip(dataset.problems, dataset.variant_maps), lambda pm: pm[0].id):
+            variants = group_variants(
+                record for problem, maps in group for record in _render_problem(problem, maps)
+            )
+            problems += bool(variants)
+            for variant in variants:
+                block = jsonio.encode_lines(r.to_dict() for r in variant.questions)
+                fh.write(block)
+                digests[variant.variant_id] = hashlib.sha256(block.encode("utf-8")).hexdigest()
+                records += len(variant.questions)
+                pairs += sum(len(r.subquestions) for r in variant.questions)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -517,10 +546,10 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
         "seed": dataset.seed,
         "per_problem": dataset.per_problem,
         "fold_case": dataset.fold_case,
-        "problems": len({r.problem_id for r in records}),
+        "problems": problems,
         "variants": len(digests),
-        "records": len(records),
-        "pairs": sum(len(r.subquestions) for r in records),
+        "records": records,
+        "pairs": pairs,
         "digests": digests,
         "maps": {
             vid: {"seed": pmap.seed, "pairs": pmap.pairs} for vid, pmap in dataset.maps.items()
@@ -530,6 +559,26 @@ def write_dataset(dataset: Dataset, out_dir: str | Path) -> dict:
     return manifest
 
 
+# Fields whose text repeats across records, a variant's sheet in every
+# question's record; load_dataset keeps one copy of each equal value.
+_SHARED_FIELDS = ("problem_id", "difficulty", "preamble", "context")
+
+
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
-    """The records of the dataset directory ``path``; its ``manifest.json`` is not read."""
-    return jsonio.read_lines(Path(path) / "records.jsonl", DatasetRecord.from_dict)
+    """The records of the dataset directory ``path``; its ``manifest.json`` is not read.
+
+    Equal ``preamble``, ``context``, ``problem_id`` and ``difficulty``
+    strings are kept once, through a memo that lives for this read only, so
+    each variant's preamble and context are held once, not once per
+    question.  Records of two reads share none of them.
+    """
+    shared: dict[str, str] = {}
+
+    def decode(data: dict) -> DatasetRecord:
+        for key in _SHARED_FIELDS:
+            text = data.get(key)
+            if type(text) is str:  # the codec refuses any other value by its path
+                data[key] = shared.setdefault(text, text)
+        return DatasetRecord.from_dict(data)
+
+    return jsonio.read_lines(Path(path) / "records.jsonl", decode)

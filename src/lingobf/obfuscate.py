@@ -16,7 +16,7 @@ documents a single time, takes the coverage gaps from that same
 segmentation and refuses the table on any gap.  ``corpus.load_corpus``
 compiles each problem this way once, its documents and answers in one
 table, in the case mode of the load, and keeps the compiled form on the
-problem; ``corpus.build_dataset`` renders every variant from it with dict
+problem; a ``corpus.Dataset`` renders every variant from it with dict
 lookups and ``join``.
 
 Matching is case-folded by default and the replacement re-applies the

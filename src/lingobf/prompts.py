@@ -123,12 +123,15 @@ def build_prompts(
 
     ``question_index`` restricts output to one question index per variant
     (variants lacking that index are skipped).  Raises ``ValueError`` for
-    a negative index, an index that no variant has, and as
-    ``corpus.group_variants`` does, before the first prompt is yielded.
+    a negative index, a dataset of no records, an index that no variant
+    has, and as ``corpus.group_variants`` does, before the first prompt is
+    yielded.
     """
     if question_index is not None and question_index < 0:
         raise ValueError(f"question index {question_index} is negative")
     variants = group_variants(records)
+    if not variants:
+        raise ValueError("dataset has no records")
     if question_index is not None and not any(
         question_index < len(variant.questions) for variant in variants
     ):

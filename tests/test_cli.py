@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -13,6 +15,8 @@ import pytest
 from lingobf.cli import main
 from lingobf.corpus import load_corpus, load_dataset
 from lingobf.mockserver import MockModelServer, knowledge_reply
+
+from .conftest import REPO
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +368,59 @@ def test_prompt_and_score_do_not_read_the_dataset_manifest(capsys, corpus_dir, t
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0 and "manifest" not in err
+
+
+def test_prompt_refuses_a_dataset_of_no_records(capsys, corpus_dir, tmp_path):
+    ds = tmp_path / "dataset"
+    run_cli(capsys, "generate", str(corpus_dir), "--out", str(ds), "--seed", "7")
+    (ds / "records.jsonl").write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "prompt", str(ds), "--out", str(tmp_path / "p.jsonl"))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "ValueError", "detail": f"{ds}: dataset has no records"}
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+_FRESH_PIPELINE = """
+import json, sys
+from lingobf import cli
+
+later = ("lingobf.metrics", "lingobf.runner", "lingobf.stats", "lingobf.transport")
+corpus, endpoint, out = sys.argv[1:]
+loaded = {"import": [name for name in later if name in sys.modules]}
+for step, *argv in (
+    ("generate", corpus, "--out", f"{out}/ds", "--seed", "7"),
+    ("prompt", f"{out}/ds", "--out", f"{out}/prompts.jsonl"),
+    ("validate", corpus),
+    ("run", "--prompts", f"{out}/prompts.jsonl", "--endpoint", endpoint, "--out", f"{out}/run"),
+    ("score", "--run", f"{out}/run", "--dataset", f"{out}/ds", "--out", f"{out}/scores.json"),
+    ("bootstrap", "--scores", f"{out}/scores.json", "--sets", "20", "--seed", "1"),
+    ("report", "--scores", f"{out}/scores.json", "--out", f"{out}/report", "--run", f"{out}/run"),
+):
+    assert cli.main([step, *argv]) == 0, step
+    loaded[step] = [name for name in later if name in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_generate_and_prompt_load_no_run_or_scoring_code(corpus_dir, tmp_path):
+    # In a fresh interpreter: cli leaves the run and scoring modules
+    # unloaded through generate and prompt, and each later subcommand
+    # still works once it imports what it needs.
+    with MockModelServer(lambda system, user: json.dumps({"1": "a"})) as server:
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"name": "mock", "url": server.url}), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", _FRESH_PIPELINE, str(corpus_dir), str(endpoint), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["generate"] == loaded["prompt"] == []
+    assert "lingobf.metrics" in loaded["validate"]
+    assert loaded["report"] == ["lingobf.metrics", "lingobf.runner", "lingobf.stats", "lingobf.transport"]
 
 
 def test_score_refuses_a_dataset_of_no_records(capsys, corpus_dir, tmp_path):

@@ -3,13 +3,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+import tracemalloc
 
 import pytest
 
 from lingobf import jsonio
-from lingobf.annotations import MARKERS
+from lingobf.annotations import MARKERS, parse
 from lingobf.cli import main
 from lingobf.corpus import (
+    Corpus,
     build_dataset,
     group_variants,
     load_corpus,
@@ -396,14 +398,17 @@ def test_problem_text_lines_end_only_at_line_ends(tmp_path, corpus_dir):
     assert [key for key, _ in record.subquestions] == ["1", "2"]
 
 
-def test_load_dataset_keeps_unicode_line_separators(tmp_path, dataset):
-    first = dataset.records[0]
-    key = first.expected_keys[0]
-    first = dataclasses.replace(first, answers={**first.answers, key: "a\u2028b\u0085c"})
-    write_dataset(dataclasses.replace(dataset, records=(first, *dataset.records[1:])), tmp_path)
+def test_load_dataset_keeps_unicode_line_separators(tmp_path, corpus):
+    problem = corpus.problems[0]
+    (question, *questions), (sub, *subs) = problem.questions, problem.questions[0].subquestions
+    sub = dataclasses.replace(sub, answer=parse("a\u2028b\u0085c"))
+    question = dataclasses.replace(question, subquestions=(sub, *subs))
+    problem = dataclasses.replace(problem, questions=(question, *questions))
+    dataset = build_dataset(Corpus(problems=(problem,)), per_problem=2, seed=7)
+    write_dataset(dataset, tmp_path)
     loaded = load_dataset(tmp_path)
     assert len(loaded) == len(dataset)
-    assert loaded[0].answers[key] == "a\u2028b\u0085c"
+    assert loaded[0].answers[sub.key] == "a\u2028b\u0085c"
 
 
 @pytest.mark.parametrize(
@@ -424,8 +429,96 @@ def test_load_dataset_names_a_bad_line(tmp_path, dataset, bad, error):
         load_dataset(tmp_path)
 
 
+def test_write_is_independent_of_problem_order(tmp_path, corpus):
+    # The write renders a problem at a time in problem-id order, so the
+    # corpus's own order never reaches the bytes.
+    for name, problems in (("sorted", corpus.problems), ("reversed", corpus.problems[::-1])):
+        write_dataset(build_dataset(Corpus(problems=problems), per_problem=6, seed=7), tmp_path / name)
+    for name in ("records.jsonl", "manifest.json"):
+        assert (tmp_path / "sorted" / name).read_bytes() == (tmp_path / "reversed" / name).read_bytes()
+
+
+def test_write_refuses_a_problem_id_given_twice(tmp_path, corpus):
+    twice = Corpus(problems=(*corpus.problems, corpus.problems[1]))
+    with pytest.raises(ValueError, match="^dataset for rivers-z: variant p=0 repeats a question index$"):
+        write_dataset(build_dataset(twice, per_problem=6, seed=7), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_refuses_what_prompt_and_score_refuse(tmp_path, dataset, monkeypatch):
+    # Drop a sub-question from the last problem's p = 1: the blocks of the
+    # problems before it are written by then, yet no records.jsonl is left.
+    import lingobf.corpus
+
+    render = lingobf.corpus._render_problem
+    monkeypatch.setattr(
+        lingobf.corpus,
+        "_render_problem",
+        lambda *args: (
+            _drop_first_key(r) if r.prompt_id == "voicing-y:p1:q0" else r for r in render(*args)
+        ),
+    )
+    with pytest.raises(ValueError, match="^dataset for voicing-y: variant p=1 question 0 "):
+        write_dataset(dataset, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_dataset_keeps_a_variants_sheet_once(tmp_path, dataset):
+    write_dataset(dataset, tmp_path)
+    first, second = load_dataset(tmp_path), load_dataset(tmp_path)
+    assert first == second == list(dataset)
+    for variant in group_variants(first):
+        for name in ("preamble", "context"):
+            assert len({id(getattr(r, name)) for r in variant.questions}) == 1
+    # The memo lives for one read: two reads share no text.
+    for name in ("problem_id", "difficulty", "preamble", "context"):
+        assert not {id(getattr(r, name)) for r in first} & {id(getattr(r, name)) for r in second}
+
+
+def _wide_corpus(problems: int):
+    """``problems`` copies of one problem with a 6 kB context, compiled as a load leaves them."""
+    from lingobf.corpus import Problem, Question, Subquestion
+    from lingobf.rulesets import Ruleset
+
+    def question(k):
+        return Question(
+            body=parse("Translate."),
+            subquestions=(Subquestion(key="1", text=parse(f"item {k}"), answer=parse("@@@mate@@@")),),
+        )
+
+    base = Problem(
+        id="",
+        difficulty="Breakthrough",
+        speakers=100,
+        preamble=parse("A preamble."),
+        context=parse("@@@" + " ".join(["matu tomi"] * 600) + "@@@ one"),
+        questions=(question(0), question(1)),
+        ruleset=Ruleset(sets=(("a", "e", "i", "o", "u", "m", "t"),)),
+    )
+    corpus = Corpus(problems=tuple(dataclasses.replace(base, id=f"wide-{i:02d}") for i in range(problems)))
+    for problem in corpus:
+        problem.compiled
+    return corpus
+
+
+def test_generate_holds_one_problem_not_the_dataset(tmp_path):
+    # Net of the loaded corpus, each problem adds its maps and manifest
+    # entries, a few kB, while its 14 rendered records hold ~60 kB: a write
+    # that held every problem's records peaks ~1.7 MB higher at 40 problems.
+    peaks = []
+    for problems in (10, 40):
+        corpus = _wide_corpus(problems)
+        tracemalloc.start()
+        try:
+            write_dataset(build_dataset(corpus, per_problem=6, seed=1), tmp_path / str(problems))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 512_000
+
+
 def test_group_variants_sorts_problem_then_p_then_question(dataset):
-    variants = group_variants(reversed(dataset.records))
+    variants = group_variants(reversed(list(dataset)))
     assert [(v.problem_id, v.p) for v in variants] == sorted({(r.problem_id, r.p) for r in dataset})
     for variant in variants:
         assert [q.question_index for q in variant.questions] == list(range(len(variant.questions)))

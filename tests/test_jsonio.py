@@ -24,10 +24,10 @@ from .test_metrics import all_correct_responses
 
 
 def _dataset_records(dataset):
-    first = dataset.records[0]
+    first, *rest = dataset
     key = first.expected_keys[0]
     with_alternate = dataclasses.replace(first, alternates={key: ("x", "y z")})
-    return [*dataset.records, with_alternate]
+    return [first, *rest, with_alternate]
 
 
 def _responses(dataset):
